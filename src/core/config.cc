@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "util/error.h"
+#include "util/parse_number.h"
 
 namespace m3dfl {
 
@@ -107,33 +108,25 @@ TrainOptions read_train_options(std::istream& is, const TrainOptions& defaults,
       cfg_fail(source, line_no, "duplicate key '" + key + "'");
     }
 
-    std::size_t pos = 0;
-    try {
-      if (key == "epochs") {
-        out.epochs = std::stoi(value, &pos);
-      } else if (key == "batch_size") {
-        out.batch_size = std::stoi(value, &pos);
-      } else if (key == "lr") {
-        out.lr = std::stod(value, &pos);
-      } else if (key == "seed") {
-        out.seed = std::stoull(value, &pos);
-      } else if (key == "min_improvement") {
-        out.min_improvement = std::stod(value, &pos);
-      } else if (key == "patience") {
-        out.patience = std::stoi(value, &pos);
-      } else {
-        cfg_fail(source, line_no,
-                 "unknown key '" + key +
-                     "' (epochs|batch_size|lr|seed|min_improvement|"
-                     "patience)");
-      }
-    } catch (const Error&) {
-      throw;
-    } catch (const std::exception&) {
+    bool parsed = false;
+    if (key == "epochs") {
+      parsed = parse_number(value, out.epochs);
+    } else if (key == "batch_size") {
+      parsed = parse_number(value, out.batch_size);
+    } else if (key == "lr") {
+      parsed = parse_number(value, out.lr);
+    } else if (key == "seed") {
+      parsed = parse_number(value, out.seed);
+    } else if (key == "min_improvement") {
+      parsed = parse_number(value, out.min_improvement);
+    } else if (key == "patience") {
+      parsed = parse_number(value, out.patience);
+    } else {
       cfg_fail(source, line_no,
-               "non-numeric value '" + value + "' for key '" + key + "'");
+               "unknown key '" + key +
+                   "' (epochs|batch_size|lr|seed|min_improvement|patience)");
     }
-    if (pos != value.size()) {
+    if (!parsed) {
       cfg_fail(source, line_no,
                "non-numeric value '" + value + "' for key '" + key + "'");
     }

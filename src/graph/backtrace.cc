@@ -260,11 +260,4 @@ BacktraceResult backtrace_with_support(const HeteroGraph& graph,
       traced, static_cast<std::size_t>(graph.num_nodes()), options);
 }
 
-std::vector<NodeId> backtrace_candidates(const HeteroGraph& graph,
-                                         const DesignContext& design,
-                                         const FailureLog& log,
-                                         const BacktraceOptions& options) {
-  return backtrace_with_support(graph, design, log, options).candidates;
-}
-
 }  // namespace m3dfl

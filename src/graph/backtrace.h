@@ -120,13 +120,6 @@ BacktraceResult backtrace_with_support(const HeteroGraph& graph,
                                        const FailureLog& log,
                                        const BacktraceOptions& options = {});
 
-// Candidate nodes only (the historical interface; same candidate list as
-// backtrace_with_support).
-std::vector<NodeId> backtrace_candidates(const HeteroGraph& graph,
-                                         const DesignContext& design,
-                                         const FailureLog& log,
-                                         const BacktraceOptions& options = {});
-
 }  // namespace m3dfl
 
 #endif  // M3DFL_GRAPH_BACKTRACE_H_

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <utility>
 
+#include "util/bench_json.h"
 #include "util/error.h"
 
 namespace m3dfl::lint {
@@ -128,43 +129,16 @@ std::string Report::to_string() const {
   return out;
 }
 
-namespace {
-
-// Minimal JSON string escaping (the fields are ASCII identifiers and
-// human-readable messages; control characters cannot occur, but quotes and
-// backslashes in gate names must not break the document).
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
-
 std::string Report::to_json() const {
   std::string out = "[\n";
   for (std::size_t i = 0; i < diags_.size(); ++i) {
     const Diagnostic& d = diags_[i];
-    out += "  {\"check\": ";
-    append_json_string(out, d.check_id);
-    out += ", \"severity\": ";
-    append_json_string(out, severity_name(d.severity));
-    out += ", \"artifact\": ";
-    append_json_string(out, artifact_name(d.artifact));
-    out += ", \"location\": ";
-    append_json_string(out, d.location);
-    out += ", \"message\": ";
-    append_json_string(out, d.message);
-    out += ", \"hint\": ";
-    append_json_string(out, d.hint);
+    out += "  {\"check\": " + json_escape(d.check_id);
+    out += ", \"severity\": " + json_escape(severity_name(d.severity));
+    out += ", \"artifact\": " + json_escape(artifact_name(d.artifact));
+    out += ", \"location\": " + json_escape(d.location);
+    out += ", \"message\": " + json_escape(d.message);
+    out += ", \"hint\": " + json_escape(d.hint);
     out += i + 1 < diags_.size() ? "},\n" : "}\n";
   }
   out += "]\n";

@@ -178,6 +178,16 @@ TEST(ConfigTest, TrainOptionsRejectsNonNumericValues) {
             std::string::npos);
 }
 
+// A signed value on an unsigned key used to wrap ("seed -1" read as
+// 2^64-1); the strict parser rejects it like any other non-number.
+TEST(ConfigTest, TrainOptionsRejectsNegativeSeed) {
+  const std::string msg = opts_error("seed -1\n");
+  EXPECT_NE(msg.find("train.cfg line 1: non-numeric value '-1' for key "
+                     "'seed'"),
+            std::string::npos)
+      << msg;
+}
+
 TEST(ConfigTest, TrainOptionsRejectsOutOfRangeValues) {
   EXPECT_NE(opts_error("epochs 0\n").find("epochs must be >= 1"),
             std::string::npos);

@@ -861,6 +861,28 @@ TEST(LintEndToEndTest, LintMnlRoundTripOfCleanCorpus) {
   EXPECT_EQ(report.summary(), "clean");
 }
 
+// A raw control byte in an .mnl file reaches the diagnostic text verbatim;
+// the JSON rendering must escape it or strict parsers reject the document.
+TEST(LintEndToEndTest, JsonEscapesControlBytesFromTheInput) {
+  std::string text = read_corpus("clean.mnl");
+  const std::string line = "gate 4 INV u2 out=4 in=3";
+  const std::size_t at = text.find(line);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, line.size(), "gate 4\x01 BUF u3 out=3 in=2");
+  const Report report = lint::lint_mnl(text, "ctl.mnl");
+  ASSERT_FALSE(report.empty());
+  const std::string json = report.to_json();
+  EXPECT_NE(json.find("\\u0001"), std::string::npos) << json;
+  EXPECT_EQ(json.find('\x01'), std::string::npos) << json;
+
+  Report direct;
+  direct.add(lint::Diagnostic{"x", Severity::kNote,
+                              lint::ArtifactKind::kNetlist, "loc",
+                              "a\x01" "b\rc", "hint"});
+  EXPECT_NE(direct.to_json().find("\"a\\u0001b\\rc\""), std::string::npos)
+      << direct.to_json();
+}
+
 // ---- session-journal checks -------------------------------------------------
 
 TEST(LintJournalTest, SessionJournalStaleIsInTheCatalog) {

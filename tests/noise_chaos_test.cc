@@ -96,7 +96,8 @@ std::vector<NodeId> one_response_suspects(const NoiseSetup& s,
   } else {
     log.scan_fails = {o};
   }
-  return backtrace_candidates(s.graph, s.d.context(), log, untinned());
+  return backtrace_with_support(s.graph, s.d.context(), log, untinned())
+      .candidates;
 }
 
 bool disjoint_sorted(const std::vector<NodeId>& a,
@@ -304,8 +305,9 @@ ResponseAt response_at(const NoiseSetup& s, const FailureLog& log,
     single.compacted = true;
     single.channel_fails = {c};
     out.pattern = c.pattern;
-    out.cone = backtrace_candidates(s.graph, s.d.context(), single,
-                                    untinned());
+    out.cone = backtrace_with_support(s.graph, s.d.context(), single,
+                                      untinned())
+                   .candidates;
   } else {
     const Observation& o =
         log.po_fails[static_cast<std::size_t>(index - scan - chan)];

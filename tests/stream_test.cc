@@ -238,9 +238,9 @@ TEST(StreamBacktraceTest, OnlineQuarantineCondemnsAndRehabilitates) {
       const std::vector<StreamRecord> recs_b = failing(samples[b].log);
       if (recs_a.size() < 2 || recs_b.size() < 6) continue;
       const std::vector<NodeId> cand_a =
-          backtrace_candidates(graph, d.context(), samples[a].log);
+          backtrace_with_support(graph, d.context(), samples[a].log).candidates;
       const std::vector<NodeId> cand_b =
-          backtrace_candidates(graph, d.context(), samples[b].log);
+          backtrace_with_support(graph, d.context(), samples[b].log).candidates;
       std::vector<NodeId> common;
       std::set_intersection(cand_a.begin(), cand_a.end(), cand_b.begin(),
                             cand_b.end(), std::back_inserter(common));

@@ -25,7 +25,7 @@ struct SubgraphSetup {
     samples = generate_samples(d.context(), opt);
     for (const Sample& s : samples) {
       Subgraph sg = extract_subgraph(
-          graph, backtrace_candidates(graph, d.context(), s.log));
+          graph, backtrace_with_support(graph, d.context(), s.log).candidates);
       label_subgraph(sg, s);
       graphs.push_back(std::move(sg));
     }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "util/error.h"
+#include "util/parse_number.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -196,6 +197,37 @@ TEST(TableTest, Formatting) {
   EXPECT_EQ(TablePrinter::pct(0.983, 1), "98.3%");
   EXPECT_EQ(TablePrinter::delta_pct(0.329, 1), "(+32.9%)");
   EXPECT_EQ(TablePrinter::delta_pct(-0.008, 1), "(-0.8%)");
+}
+
+TEST(ParseNumberTest, AcceptsWholeNumbersOfTheTargetType) {
+  std::int32_t i = 0;
+  EXPECT_TRUE(parse_number("-42", i));
+  EXPECT_EQ(i, -42);
+  std::uint64_t u = 0;
+  EXPECT_TRUE(parse_number("18446744073709551615", u));
+  EXPECT_EQ(u, 18446744073709551615ull);
+  double d = 0.0;
+  EXPECT_TRUE(parse_number("1e-4", d));
+  EXPECT_DOUBLE_EQ(d, 1e-4);
+  EXPECT_TRUE(parse_number("-2.5", d));
+  EXPECT_DOUBLE_EQ(d, -2.5);
+}
+
+TEST(ParseNumberTest, RejectsPartialSignedAndOutOfRangeText) {
+  std::int32_t i = 7;
+  for (const char* bad : {"", "2x", " 2", "2 ", "+2", "0x10", "2147483648"}) {
+    EXPECT_FALSE(parse_number(bad, i)) << bad;
+  }
+  EXPECT_EQ(i, 7);  // untouched on failure
+  std::uint64_t u = 7;
+  EXPECT_FALSE(parse_number("-1", u));
+  EXPECT_FALSE(parse_number("18446744073709551616", u));
+  EXPECT_EQ(u, 7u);
+  double d = 7.0;
+  for (const char* bad : {"1e9junk", "inf", "nan", "1e999", "."}) {
+    EXPECT_FALSE(parse_number(bad, d)) << bad;
+  }
+  EXPECT_DOUBLE_EQ(d, 7.0);
 }
 
 TEST(ThinningTest, IdentityWhenUnderCap) {

@@ -1,46 +1,8 @@
-// m3dfl command-line tool.
-//
-//   m3dfl_tool generate  <profile> <out.mnl>        elaborate a benchmark netlist
-//   m3dfl_tool verilog   <profile> <out.v>          export structural Verilog
-//   m3dfl_tool stats     <profile> [config]         design/M3D/DfT statistics
-//   m3dfl_tool train     <profile> <model.m3dfl>    train + persist a framework
-//                        [--checkpoint-dir=D] [--checkpoint-interval=N]
-//                        [--resume] [--train-config=F]
-//   m3dfl_tool lint      <profile|file.mnl> [config] static analysis of a
-//                        [--log=F] [--model=F]       design, netlist file,
-//                        [--json]                    failure log, and/or
-//                        [--fail-on=warn|error]      trained model
-//   m3dfl_tool analyze   <profile|file.mnl> [config] static timing &
-//                        [--json] [--clock-ps=P]     testability analysis:
-//                        [--k-paths=N]               slack/WNS/TNS, K longest
-//                        [--max-defect-ps=D]         paths, untestable delay
-//                                                   faults, fault collapsing,
-//                                                   and the timing lint pass
-//   m3dfl_tool diagnose  <profile> <model.m3dfl> <die.flog> [config]
-//                                                   diagnose one failure log
-//   m3dfl_tool inject    <profile> <out.flog>       make a demo failure log
-//   m3dfl_tool serve     <profile> <model.m3dfl> <logs> [config] [threads]
-//                        [--deadline-ms=N] [--max-retries=N] [--no-degraded]
-//                        [--journal-dir=D]           batch-diagnose a directory
-//                                                   (or manifest) of logs
-//                                                   through the concurrent
-//                                                   serving runtime; with a
-//                                                   journal dir, requests are
-//                                                   crash-safe sessions
-//   m3dfl_tool fleet     <registry-dir> <manifest>  multi-tenant serving: route
-//                        [--threads=N]              manifest requests to per-
-//                        [--max-inflight=N]         design shards over a model
-//                        [--version=N]              registry (docs/REGISTRY.md)
-//                        [--max-resident-mb=N]
-//                        [--journal-dir=D]
-//   m3dfl_tool journal   <dir> [--verify|--compact] inspect / verify / compact
-//                        [--lifetime-ms=N]          a write-ahead session
-//                                                   journal (docs/SERVING.md)
-//   m3dfl_tool migrate-artifact <in> <out>          legacy format-1 stream ->
-//                                                   checksummed format-2
-//                                                   registry artifact
-//
-// Profiles: aes | tate | netcard | leon3mp.  Configs: syn1|tpi|syn2|par.
+// m3dfl command-line tool: the paper's deployment flow (Sec. V-G) from a
+// shell -- build and inspect designs, train a framework once, then diagnose
+// and serve many dies.  Run it without arguments for the usage text, which
+// is rendered from the command table at the end of this file: the one place
+// a subcommand, its positional arguments, and its flags are declared.
 //
 // Every artifact this tool writes (netlists, failure logs, trained models)
 // goes through an atomic temp-file + rename, so a killed run never leaves a
@@ -52,13 +14,17 @@
 // stream degrades the whole run to ATPG-only ranking (reports marked
 // degraded) instead of aborting.  Exit 0 iff every request ended kOk.
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "core/checkpoint.h"
@@ -81,6 +47,7 @@
 #include "util/artifact.h"
 #include "util/atomic_file.h"
 #include "util/bench_json.h"
+#include "util/parse_number.h"
 #include "util/table.h"
 
 using namespace m3dfl;
@@ -92,6 +59,53 @@ std::ifstream open_in(const std::string& path) {
   M3DFL_REQUIRE(is.good(), "cannot open '" + path + "' for reading");
   return is;
 }
+
+// The value of every flag of every subcommand.  The command table binds each
+// flag to one field; a subcommand reads the fields its own flags set, and
+// every other field keeps its default.
+struct Flags {
+  // train
+  std::string checkpoint_dir;
+  std::int32_t checkpoint_interval = 1;
+  bool resume = false;
+  std::string train_config;  // key-value TrainOptions file
+  // lint
+  std::string log_path;    // failure log to lint against the design
+  std::string model_path;  // trained framework to lint against the design
+  lint::Severity fail_on = lint::Severity::kError;
+  // lint, analyze
+  bool json = false;
+  // analyze
+  double clock_ps = 0.0;       // 0 = auto (guard band over the critical path)
+  std::int32_t k_paths = 5;
+  double max_defect_ps = 0.0;  // 0 = no slack-margin untestability
+  // diagnose, perturb-log: a seeded tester-noise perturbation applied to the
+  // input log (diag/noise.h), reproducible from the recorded (kind, rate,
+  // seed) triple.
+  NoiseOptions noise;
+  // diagnose: replay the (possibly perturbed) log record-by-record through
+  // diag::StreamingBacktrace, printing the confidence trajectory and
+  // stopping at the early-exit point instead of waiting for the whole log.
+  bool stream = false;
+  // serve
+  double deadline_ms = 0.0;
+  std::int32_t max_retries = 2;
+  bool no_degraded = false;
+  // serve, fleet: route every log through a journaled streaming session
+  // (write-ahead journal in this directory, per tenant for fleet;
+  // docs/SERVING.md "Crash recovery") and recover sessions a previous
+  // killed run left behind.
+  std::string journal_dir;
+  // fleet
+  std::int32_t threads = 2;        // worker threads per tenant shard
+  std::uint64_t max_inflight = 0;  // per-tenant quota; 0 = unlimited
+  std::int32_t version = registry::ModelRegistry::kLatest;
+  std::size_t max_resident_bytes = 0;  // registry eviction watermark
+  // journal
+  bool verify = false;
+  bool compact = false;
+  double lifetime_ms = 0.0;
+};
 
 int cmd_generate(const std::string& profile, const std::string& path) {
   const auto design = Design::build(parse_profile(profile),
@@ -139,47 +153,11 @@ int cmd_stats(const std::string& profile, const std::string& config) {
   return 0;
 }
 
-// Flags accepted by `train`.
-struct TrainFlags {
-  std::string checkpoint_dir;
-  std::int32_t checkpoint_interval = 1;
-  bool resume = false;
-  std::string train_config;  // key-value TrainOptions file
-};
-
-TrainFlags parse_train_flags(const std::vector<std::string>& flags) {
-  TrainFlags parsed;
-  for (const std::string& flag : flags) {
-    const auto eq = flag.find('=');
-    const std::string key = flag.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? "" : flag.substr(eq + 1);
-    try {
-      if (key == "--checkpoint-dir") {
-        parsed.checkpoint_dir = value;
-      } else if (key == "--checkpoint-interval") {
-        parsed.checkpoint_interval = std::stoi(value);
-      } else if (key == "--resume") {
-        parsed.resume = true;
-      } else if (key == "--train-config") {
-        parsed.train_config = value;
-      } else {
-        throw Error("unknown train flag '" + flag + "'");
-      }
-    } catch (const Error&) {
-      throw;
-    } catch (const std::exception&) {
-      throw Error("bad value in train flag '" + flag + "'");
-    }
-  }
-  if (parsed.resume && parsed.checkpoint_dir.empty()) {
+int cmd_train(const std::string& profile, const std::string& path,
+              const Flags& flags) {
+  if (flags.resume && flags.checkpoint_dir.empty()) {
     throw Error("--resume requires --checkpoint-dir");
   }
-  return parsed;
-}
-
-int cmd_train(const std::string& profile, const std::string& path,
-              const TrainFlags& flags) {
   const Profile p = parse_profile(profile);
   // Validate the training config before the (expensive) dataset build so a
   // typo is reported in milliseconds, not minutes.
@@ -237,48 +215,11 @@ int cmd_train(const std::string& profile, const std::string& path,
   return 0;
 }
 
-// Flags accepted by `lint`.
-struct LintFlags {
-  std::string log_path;    // failure log to lint against the design
-  std::string model_path;  // trained framework to lint against the design
-  bool json = false;
-  lint::Severity fail_on = lint::Severity::kError;
-};
-
-LintFlags parse_lint_flags(const std::vector<std::string>& flags) {
-  LintFlags parsed;
-  for (const std::string& flag : flags) {
-    const auto eq = flag.find('=');
-    const std::string key = flag.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? "" : flag.substr(eq + 1);
-    if (key == "--log") {
-      parsed.log_path = value;
-    } else if (key == "--model") {
-      parsed.model_path = value;
-    } else if (key == "--json") {
-      parsed.json = true;
-    } else if (key == "--fail-on") {
-      try {
-        parsed.fail_on = lint::parse_severity(value);
-      } catch (const Error& e) {
-        // Cite the flag as written so a typo in a CI pipeline is findable.
-        throw Error("in '" + flag + "': " + e.what());
-      }
-    } else {
-      throw Error("unknown lint flag '" + flag + "'");
-    }
-  }
-  return parsed;
-}
-
-// `m3dfl_tool lint <design> [config] [--log=F] [--model=F] [--json]
-//                  [--fail-on=warn|error]`
-// <design> is a benchmark profile (aes|tate|netcard|leon3mp) or a path to an
-// MNL netlist file.  Exit 0 when no diagnostic at/above the --fail-on
-// severity fired, 1 otherwise.
+// `lint`: <design> is a benchmark profile (aes|tate|netcard|leon3mp) or a
+// path to an MNL netlist file.  Exit 0 when no diagnostic at/above the
+// --fail-on severity fired, 1 otherwise.
 int cmd_lint(const std::string& target, const std::string& config,
-             const LintFlags& flags) {
+             const Flags& flags) {
   lint::Report report;
   std::unique_ptr<Design> design;
   if (std::filesystem::is_regular_file(target)) {
@@ -316,42 +257,6 @@ int cmd_lint(const std::string& target, const std::string& config,
   return fail ? 1 : 0;
 }
 
-// Flags accepted by `analyze`.
-struct AnalyzeFlags {
-  bool json = false;
-  double clock_ps = 0.0;       // 0 = auto (guard band over the critical path)
-  std::int32_t k_paths = 5;
-  double max_defect_ps = 0.0;  // 0 = no slack-margin untestability
-};
-
-AnalyzeFlags parse_analyze_flags(const std::vector<std::string>& flags) {
-  AnalyzeFlags parsed;
-  for (const std::string& flag : flags) {
-    const auto eq = flag.find('=');
-    const std::string key = flag.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? "" : flag.substr(eq + 1);
-    try {
-      if (key == "--json") {
-        parsed.json = true;
-      } else if (key == "--clock-ps") {
-        parsed.clock_ps = std::stod(value);
-      } else if (key == "--k-paths") {
-        parsed.k_paths = std::stoi(value);
-      } else if (key == "--max-defect-ps") {
-        parsed.max_defect_ps = std::stod(value);
-      } else {
-        throw Error("unknown analyze flag '" + flag + "'");
-      }
-    } catch (const Error&) {
-      throw;
-    } catch (const std::exception&) {
-      throw Error("bad value in analyze flag '" + flag + "'");
-    }
-  }
-  return parsed;
-}
-
 // Pin chain of a timing path; long paths keep both ends and elide the middle.
 std::string path_to_string(const Netlist& nl, const sta::TimingPath& path) {
   constexpr std::size_t kHead = 6;
@@ -370,15 +275,14 @@ std::string path_to_string(const Netlist& nl, const sta::TimingPath& path) {
   return out;
 }
 
-// `m3dfl_tool analyze <design> [config] [--json] [--clock-ps=P]
-//                     [--k-paths=N] [--max-defect-ps=D]`
-// Static timing & testability analysis (docs/ANALYSIS.md): slack/WNS/TNS,
-// the K longest paths, untestable delay faults, fault collapsing, and the
-// timing lint pass.  <design> is a benchmark profile or an MNL netlist file
-// (a bare netlist carries no tier assignment, so MIV effects are off).
+// `analyze`: static timing & testability analysis (docs/ANALYSIS.md):
+// slack/WNS/TNS, the K longest paths, untestable delay faults, fault
+// collapsing, and the timing lint pass.  <design> is a benchmark profile or
+// an MNL netlist file (a bare netlist carries no tier assignment, so MIV
+// effects are off).
 // Exit 0 when the timing lint pass finds no errors, 1 otherwise.
 int cmd_analyze(const std::string& target, const std::string& config,
-                const AnalyzeFlags& flags) {
+                const Flags& flags) {
   std::unique_ptr<Design> design;
   Netlist file_netlist;
   const Netlist* nl = nullptr;
@@ -510,41 +414,6 @@ int cmd_inject(const std::string& profile, const std::string& path) {
   return 0;
 }
 
-// Flags accepted by `diagnose` and `perturb-log` (diag/noise.h): a seeded
-// tester-noise perturbation applied to the input log, so noisy runs are
-// reproducible from the recorded (kind, rate, seed) triple.
-struct NoiseFlags {
-  NoiseOptions noise;
-};
-
-NoiseFlags parse_noise_flags(const std::vector<std::string>& flags) {
-  NoiseFlags parsed;
-  for (const std::string& flag : flags) {
-    const auto eq = flag.find('=');
-    const std::string key = flag.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? "" : flag.substr(eq + 1);
-    try {
-      if (key == "--noise-kind") {
-        parsed.noise.kind = parse_noise_kind(value);
-      } else if (key == "--noise-rate") {
-        parsed.noise.rate = std::stod(value);
-      } else if (key == "--noise-seed") {
-        parsed.noise.seed = std::stoull(value);
-      } else if (key == "--noise-depth") {
-        parsed.noise.store_depth = std::stoi(value);
-      } else {
-        throw Error("unknown noise flag '" + flag + "'");
-      }
-    } catch (const Error&) {
-      throw;
-    } catch (const std::exception&) {
-      throw Error("bad value in noise flag '" + flag + "'");
-    }
-  }
-  return parsed;
-}
-
 // Applies the flagged perturbation (if any) and narrates what it did.
 FailureLog apply_noise(const DesignContext& ctx, const FailureLog& log,
                        const NoiseOptions& noise) {
@@ -561,32 +430,9 @@ FailureLog apply_noise(const DesignContext& ctx, const FailureLog& log,
   return noisy;
 }
 
-// Flags accepted by `diagnose`: the noise perturbation plus --stream, which
-// replays the (possibly perturbed) log record-by-record through
-// diag::StreamingBacktrace, printing the confidence trajectory and stopping
-// at the early-exit point instead of waiting for the complete log.
-struct DiagnoseFlags {
-  NoiseOptions noise;
-  bool stream = false;
-};
-
-DiagnoseFlags parse_diagnose_flags(const std::vector<std::string>& flags) {
-  DiagnoseFlags parsed;
-  std::vector<std::string> noise_flags;
-  for (const std::string& flag : flags) {
-    if (flag == "--stream") {
-      parsed.stream = true;
-    } else {
-      noise_flags.push_back(flag);
-    }
-  }
-  parsed.noise = parse_noise_flags(noise_flags).noise;
-  return parsed;
-}
-
 int cmd_diagnose(const std::string& profile, const std::string& model_path,
                  const std::string& log_path, const std::string& config,
-                 const DiagnoseFlags& flags) {
+                 const Flags& flags) {
   const auto design =
       Design::build(parse_profile(profile), parse_config(config));
   DiagnosisFramework framework;
@@ -685,7 +531,7 @@ int cmd_diagnose(const std::string& profile, const std::string& model_path,
 // so a crash never leaves a half-written log behind).
 int cmd_perturb_log(const std::string& profile, const std::string& in_path,
                     const std::string& out_path, const std::string& config,
-                    const NoiseFlags& flags) {
+                    const Flags& flags) {
   M3DFL_REQUIRE(flags.noise.kind != NoiseKind::kNone,
                 "perturb-log needs --noise-kind=drop|spurious|flip|truncate");
   const auto design =
@@ -729,46 +575,6 @@ std::vector<std::filesystem::path> collect_log_paths(const std::string& arg) {
                 "no failure logs found in '" + arg +
                     "' (directory of *.flog files or manifest)");
   return paths;
-}
-
-// Flags accepted by `serve` (may appear anywhere after the command).
-struct ServeFlags {
-  double deadline_ms = 0.0;
-  std::int32_t max_retries = 2;
-  bool degraded_fallback = true;
-  // Non-empty: route every log through a journaled streaming session
-  // (write-ahead journal in this directory; docs/SERVING.md "Crash
-  // recovery") and recover sessions a previous killed run left behind.
-  std::string journal_dir;
-};
-
-ServeFlags parse_serve_flags(const std::vector<std::string>& flags) {
-  ServeFlags parsed;
-  for (const std::string& flag : flags) {
-    const auto eq = flag.find('=');
-    const std::string key = flag.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? "" : flag.substr(eq + 1);
-    try {
-      if (key == "--deadline-ms") {
-        parsed.deadline_ms = std::stod(value);
-      } else if (key == "--max-retries") {
-        parsed.max_retries = std::stoi(value);
-      } else if (key == "--no-degraded") {
-        parsed.degraded_fallback = false;
-      } else if (key == "--journal-dir") {
-        M3DFL_REQUIRE(!value.empty(), "--journal-dir needs a directory");
-        parsed.journal_dir = value;
-      } else {
-        throw Error("unknown serve flag '" + flag + "'");
-      }
-    } catch (const Error&) {
-      throw;
-    } catch (const std::exception&) {
-      throw Error("bad value in serve flag '" + flag + "'");
-    }
-  }
-  return parsed;
 }
 
 // --journal-dir plumbing shared by `serve` and `fleet`: report what
@@ -842,16 +648,14 @@ std::future<serve::DiagnosisResult> submit_via_session(
 
 int cmd_serve(const std::string& profile, const std::string& model_path,
               const std::string& logs_arg, const std::string& config,
-              const std::string& threads_str, const ServeFlags& flags) {
+              const std::string& threads_str, const Flags& flags) {
   serve::ServiceOptions options;
-  try {
-    options.num_threads = std::stoi(threads_str);
-  } catch (const std::exception&) {
+  if (!parse_number(threads_str, options.num_threads)) {
     throw Error("m3dfl: invalid thread count '" + threads_str + "'");
   }
   options.default_deadline_ms = flags.deadline_ms;
   options.max_retries = flags.max_retries;
-  options.degraded_fallback = flags.degraded_fallback;
+  options.degraded_fallback = !flags.no_degraded;
 
   std::shared_ptr<const Design> design =
       Design::build(parse_profile(profile), parse_config(config));
@@ -936,9 +740,9 @@ int cmd_serve(const std::string& profile, const std::string& model_path,
   return num_failed == 0 ? 0 : 1;
 }
 
-// `m3dfl_tool migrate-artifact <in> <out>`: converts a legacy format-1
-// stream (bare "m3dfl-framework 1" or "m3dfl-model 1 <kind>") into the
-// checksummed format-2 container the model registry ingests.  A file that is
+// `migrate-artifact`: converts a legacy format-1 stream (bare
+// "m3dfl-framework 1" or "m3dfl-model 1 <kind>") into the checksummed
+// format-2 container the model registry ingests.  A file that is
 // already a container is validated end-to-end (structure, CRC, payload
 // parse) and copied through.  Always writes atomically.
 int cmd_migrate_artifact(const std::string& in_path,
@@ -1015,50 +819,8 @@ int cmd_migrate_artifact(const std::string& in_path,
               "stream (expected m3dfl-framework or m3dfl-model magic)");
 }
 
-// Flags accepted by `fleet`.
-struct FleetFlags {
-  std::int32_t threads = 2;        // worker threads per tenant shard
-  std::uint64_t max_inflight = 0;  // per-tenant quota; 0 = unlimited
-  std::int32_t version = registry::ModelRegistry::kLatest;
-  std::size_t max_resident_mb = 0;  // registry eviction watermark
-  // Non-empty: per-tenant write-ahead journals under <dir>/<model-name>,
-  // with startup recovery (docs/SERVING.md "Crash recovery").
-  std::string journal_dir;
-};
-
-FleetFlags parse_fleet_flags(const std::vector<std::string>& flags) {
-  FleetFlags parsed;
-  for (const std::string& flag : flags) {
-    const auto eq = flag.find('=');
-    const std::string key = flag.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? "" : flag.substr(eq + 1);
-    try {
-      if (key == "--threads") {
-        parsed.threads = std::stoi(value);
-      } else if (key == "--max-inflight") {
-        parsed.max_inflight = std::stoull(value);
-      } else if (key == "--version") {
-        parsed.version = std::stoi(value);
-      } else if (key == "--max-resident-mb") {
-        parsed.max_resident_mb = std::stoull(value);
-      } else if (key == "--journal-dir") {
-        M3DFL_REQUIRE(!value.empty(), "--journal-dir needs a directory");
-        parsed.journal_dir = value;
-      } else {
-        throw Error("unknown fleet flag '" + flag + "'");
-      }
-    } catch (const Error&) {
-      throw;
-    } catch (const std::exception&) {
-      throw Error("bad value in fleet flag '" + flag + "'");
-    }
-  }
-  return parsed;
-}
-
-// `m3dfl_tool fleet <registry-dir> <manifest> [flags]`: multi-tenant batch
-// serving.  The manifest has one request per line:
+// `fleet`: multi-tenant batch serving.  The manifest has one request per
+// line:
 //
 //   <profile> <die.flog> [config]       # e.g.  aes logs/die1.flog syn1
 //
@@ -1067,9 +829,9 @@ FleetFlags parse_fleet_flags(const std::vector<std::string>& flags) {
 // `latest` unless --version pins one.  Models must already be published in
 // the registry as <model>@<version>.m3dfl (train + migrate-artifact).
 int cmd_fleet(const std::string& registry_dir, const std::string& manifest,
-              const FleetFlags& flags) {
+              const Flags& flags) {
   registry::RegistryOptions reg_options;
-  reg_options.max_resident_bytes = flags.max_resident_mb << 20;
+  reg_options.max_resident_bytes = flags.max_resident_bytes;
   registry::ModelRegistry registry(registry_dir, reg_options);
 
   serve::FleetOptions fleet_options;
@@ -1199,38 +961,13 @@ int cmd_fleet(const std::string& registry_dir, const std::string& manifest,
   return num_ok == futures.size() ? 0 : 1;
 }
 
-// `m3dfl_tool journal <dir> [--verify|--compact] [--lifetime-ms=N]`:
-// inspects a write-ahead session journal (docs/SERVING.md "Crash
+// `journal`: inspects a write-ahead session journal (docs/SERVING.md "Crash
 // recovery").  Default: per-segment table + live/closed sessions +
 // offset-cited diagnostics.  --verify exits 1 if any segment is torn or
 // corrupt; --compact removes sealed fully-tombstoned segments;
 // --lifetime-ms additionally runs the session-journal-stale lint check
 // against the given session-lifetime deadline.
-int cmd_journal(const std::string& dir,
-                const std::vector<std::string>& flags) {
-  bool verify = false;
-  bool compact = false;
-  double lifetime_ms = 0.0;
-  for (const std::string& flag : flags) {
-    const auto eq = flag.find('=');
-    const std::string key = flag.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? "" : flag.substr(eq + 1);
-    if (key == "--verify") {
-      verify = true;
-    } else if (key == "--compact") {
-      compact = true;
-    } else if (key == "--lifetime-ms") {
-      try {
-        lifetime_ms = std::stod(value);
-      } catch (const std::exception&) {
-        throw Error("bad value in journal flag '" + flag + "'");
-      }
-    } else {
-      throw Error("unknown journal flag '" + flag + "'");
-    }
-  }
-
+int cmd_journal(const std::string& dir, const Flags& flags) {
   const serve::JournalReplay replay = serve::SessionJournal::replay(dir);
   if (replay.segments.empty()) {
     std::cout << "no journal segments in '" << dir << "'\n";
@@ -1258,60 +995,233 @@ int cmd_journal(const std::string& dir,
     std::cout << "  " << d << "\n";
   }
 
-  if (lifetime_ms > 0.0) {
-    const lint::JournalFacts facts =
-        serve::journal_lint_facts(dir, lifetime_ms, serve::system_wall_ms());
+  if (flags.lifetime_ms > 0.0) {
+    const lint::JournalFacts facts = serve::journal_lint_facts(
+        dir, flags.lifetime_ms, serve::system_wall_ms());
     lint::Subject subject;
     subject.journal = &facts;
     lint::Report report;
     lint::run_journal_checks(subject, report);
     std::cout << report.to_string();
   }
-  if (compact) {
+  if (flags.compact) {
     const std::size_t removed = serve::SessionJournal::compact(dir);
     std::cout << "compacted " << removed << " segment(s)\n";
   }
-  return verify && !replay.diagnostics.empty() ? 1 : 0;
+  return flags.verify && !replay.diagnostics.empty() ? 1 : 0;
 }
 
-int usage() {
-  std::cerr << "usage:\n"
-               "  m3dfl_tool generate <profile> <out.mnl>\n"
-               "  m3dfl_tool verilog  <profile> <out.v>\n"
-               "  m3dfl_tool stats    <profile> [config]\n"
-               "  m3dfl_tool train    <profile> <model.m3dfl>\n"
-               "                      [--checkpoint-dir=D] "
-               "[--checkpoint-interval=N]\n"
-               "                      [--resume] [--train-config=F]\n"
-               "  m3dfl_tool lint     <profile|file.mnl> [config]\n"
-               "                      [--log=F] [--model=F] [--json] "
-               "[--fail-on=warn|error]\n"
-               "  m3dfl_tool analyze  <profile|file.mnl> [config]\n"
-               "                      [--json] [--clock-ps=P] [--k-paths=N] "
-               "[--max-defect-ps=D]\n"
-               "  m3dfl_tool inject   <profile> <out.flog>\n"
-               "  m3dfl_tool diagnose <profile> <model.m3dfl> <die.flog> "
-               "[config]\n"
-               "                      [--stream] [--noise-kind=K] "
-               "[--noise-rate=R] [--noise-seed=S] [--noise-depth=D]\n"
-               "  m3dfl_tool perturb-log <profile> <in.flog> <out.flog> "
-               "[config]\n"
-               "                      --noise-kind=drop|spurious|flip|"
-               "truncate [--noise-rate=R]\n"
-               "                      [--noise-seed=S] [--noise-depth=D]\n"
-               "  m3dfl_tool serve    <profile> <model.m3dfl> "
-               "<logdir|manifest> [config] [threads]\n"
-               "                      [--deadline-ms=N] [--max-retries=N] "
-               "[--no-degraded]\n"
-               "                      [--journal-dir=D]\n"
-               "  m3dfl_tool fleet    <registry-dir> <manifest>\n"
-               "                      [--threads=N] [--max-inflight=N] "
-               "[--version=N]\n"
-               "                      [--max-resident-mb=N] "
-               "[--journal-dir=D]\n"
-               "  m3dfl_tool journal  <dir> [--verify|--compact] "
-               "[--lifetime-ms=N]\n"
-               "  m3dfl_tool migrate-artifact <in> <out>\n";
+// ---- command table ---------------------------------------------------------
+
+// Megabytes on the command line, bytes in the program; range-checked so
+// the shift to bytes cannot wrap (to 0, which would mean "unbounded").
+struct Megabytes {
+  std::size_t* bytes;
+};
+
+// Where a flag's value goes; the target type is the flag's kind.  A bool is
+// a switch (`--json`), the other kinds take `--flag=value`.
+using FlagTarget =
+    std::variant<bool*, std::int32_t*, std::uint64_t*, double*, std::string*,
+                 lint::Severity*, NoiseKind*, Megabytes>;
+
+struct FlagSpec {
+  const char* name;  // "--k-paths"
+  const char* meta;  // value placeholder for the usage text; "" for a switch
+  FlagTarget target;
+};
+
+// Stores one flag value (`value` is empty when the flag had no '=') into
+// its target.  False, or an Error carrying the reason, on a bad value.
+struct AssignFlag {
+  std::optional<std::string_view> value;
+
+  std::string_view text() const { return value.value_or(""); }
+  bool operator()(bool* target) const {
+    *target = true;
+    return !value;
+  }
+  bool operator()(std::string* target) const {  // paths: never empty
+    *target = text();
+    return !target->empty();
+  }
+  bool operator()(lint::Severity* target) const {
+    *target = lint::parse_severity(text());
+    return true;
+  }
+  bool operator()(NoiseKind* target) const {
+    *target = parse_noise_kind(text());
+    return true;
+  }
+  bool operator()(Megabytes target) const {
+    std::size_t mb = 0;
+    if (!parse_number(text(), mb) || mb > (SIZE_MAX >> 20)) return false;
+    *target.bytes = mb << 20;
+    return true;
+  }
+  template <typename Number>
+  bool operator()(Number* target) const {
+    return parse_number(text(), *target);
+  }
+};
+
+struct ArgSpec {
+  const char* name;                // "<profile>" or "[config]"
+  const char* fallback = nullptr;  // value when omitted; null = required
+};
+
+using Args = std::vector<std::string>;
+
+struct Command {
+  const char* name;
+  std::vector<ArgSpec> args;
+  std::vector<FlagSpec> flags;
+  const char* summary;
+  // Receives every positional argument, optional ones filled from their
+  // fallbacks, and the flag values parsed into `Flags`.
+  int (*run)(const Args& args, const Flags& flags);
+};
+
+// Every subcommand, in usage order; each FlagSpec binds into `v`.
+std::vector<Command> command_table(Flags& v) {
+  const std::vector<FlagSpec> noise = {
+      {"--noise-kind", "K", &v.noise.kind},
+      {"--noise-rate", "R", &v.noise.rate},
+      {"--noise-seed", "S", &v.noise.seed},
+      {"--noise-depth", "D", &v.noise.store_depth}};
+  std::vector<FlagSpec> diagnose = {{"--stream", "", &v.stream}};
+  diagnose.insert(diagnose.end(), noise.begin(), noise.end());
+  return {
+      {"generate", {{"<profile>"}, {"<out.mnl>"}}, {},
+       "elaborate a benchmark netlist",
+       [](const Args& a, const Flags&) { return cmd_generate(a[0], a[1]); }},
+      {"verilog", {{"<profile>"}, {"<out.v>"}}, {},
+       "export structural Verilog",
+       [](const Args& a, const Flags&) { return cmd_verilog(a[0], a[1]); }},
+      {"stats", {{"<profile>"}, {"[config]", "syn1"}}, {},
+       "design / M3D / DfT statistics",
+       [](const Args& a, const Flags&) { return cmd_stats(a[0], a[1]); }},
+      {"train", {{"<profile>"}, {"<model.m3dfl>"}},
+       {{"--checkpoint-dir", "D", &v.checkpoint_dir},
+        {"--checkpoint-interval", "N", &v.checkpoint_interval},
+        {"--resume", "", &v.resume},
+        {"--train-config", "F", &v.train_config}},
+       "train a diagnosis framework and save it",
+       [](const Args& a, const Flags& f) { return cmd_train(a[0], a[1], f); }},
+      {"lint", {{"<profile|file.mnl>"}, {"[config]", "syn1"}},
+       {{"--log", "F", &v.log_path},
+        {"--model", "F", &v.model_path},
+        {"--json", "", &v.json},
+        {"--fail-on", "warn|error", &v.fail_on}},
+       "static analysis of a design, netlist file, failure log, and model",
+       [](const Args& a, const Flags& f) { return cmd_lint(a[0], a[1], f); }},
+      {"analyze", {{"<profile|file.mnl>"}, {"[config]", "syn1"}},
+       {{"--json", "", &v.json},
+        {"--clock-ps", "P", &v.clock_ps},
+        {"--k-paths", "N", &v.k_paths},
+        {"--max-defect-ps", "D", &v.max_defect_ps}},
+       "static timing & testability analysis (docs/ANALYSIS.md)",
+       [](const Args& a, const Flags& f) {
+         return cmd_analyze(a[0], a[1], f);
+       }},
+      {"inject", {{"<profile>"}, {"<out.flog>"}}, {},
+       "write a demo failure log with one injected delay fault",
+       [](const Args& a, const Flags&) { return cmd_inject(a[0], a[1]); }},
+      {"diagnose",
+       {{"<profile>"}, {"<model.m3dfl>"}, {"<die.flog>"}, {"[config]", "syn1"}},
+       diagnose, "diagnose one failure log",
+       [](const Args& a, const Flags& f) {
+         return cmd_diagnose(a[0], a[1], a[2], a[3], f);
+       }},
+      {"perturb-log",
+       {{"<profile>"}, {"<in.flog>"}, {"<out.flog>"}, {"[config]", "syn1"}},
+       noise,
+       "write a seeded tester-noise perturbation of a log (needs "
+       "--noise-kind)",
+       [](const Args& a, const Flags& f) {
+         return cmd_perturb_log(a[0], a[1], a[2], a[3], f);
+       }},
+      {"serve",
+       {{"<profile>"}, {"<model.m3dfl>"}, {"<logdir|manifest>"},
+        {"[config]", "syn1"}, {"[threads]", "4"}},
+       {{"--deadline-ms", "N", &v.deadline_ms},
+        {"--max-retries", "N", &v.max_retries},
+        {"--no-degraded", "", &v.no_degraded},
+        {"--journal-dir", "D", &v.journal_dir}},
+       "diagnose a log directory or manifest on the serving runtime",
+       [](const Args& a, const Flags& f) {
+         return cmd_serve(a[0], a[1], a[2], a[3], a[4], f);
+       }},
+      {"fleet", {{"<registry-dir>"}, {"<manifest>"}},
+       {{"--threads", "N", &v.threads},
+        {"--max-inflight", "N", &v.max_inflight},
+        {"--version", "N", &v.version},
+        {"--max-resident-mb", "N", Megabytes{&v.max_resident_bytes}},
+        {"--journal-dir", "D", &v.journal_dir}},
+       "multi-tenant serving over a model registry (docs/REGISTRY.md)",
+       [](const Args& a, const Flags& f) { return cmd_fleet(a[0], a[1], f); }},
+      {"journal", {{"<dir>"}},
+       {{"--verify", "", &v.verify},
+        {"--compact", "", &v.compact},
+        {"--lifetime-ms", "N", &v.lifetime_ms}},
+       "inspect, verify, or compact a session journal (docs/SERVING.md)",
+       [](const Args& a, const Flags& f) { return cmd_journal(a[0], f); }},
+      {"migrate-artifact", {{"<in>"}, {"<out>"}}, {},
+       "legacy format-1 model stream -> checksummed format-2 artifact",
+       [](const Args& a, const Flags&) {
+         return cmd_migrate_artifact(a[0], a[1]);
+       }},
+  };
+}
+
+// Parses `--flag[=value]` arguments into the command's flag targets.
+void parse_flags(const Command& cmd, const std::vector<std::string>& flags) {
+  for (const std::string& flag : flags) {
+    const std::string_view text = flag;
+    const auto eq = text.find('=');
+    const auto spec = std::find_if(
+        cmd.flags.begin(), cmd.flags.end(),
+        [&](const FlagSpec& s) { return text.substr(0, eq) == s.name; });
+    if (spec == cmd.flags.end()) {
+      throw Error("unknown " + std::string(cmd.name) + " flag '" + flag + "'");
+    }
+    AssignFlag assign;
+    if (eq != std::string_view::npos) assign.value = text.substr(eq + 1);
+    bool ok = false;
+    std::string reason;
+    try {
+      ok = std::visit(assign, spec->target);
+    } catch (const Error& e) {
+      reason = std::string(": ") + e.what();
+    }
+    if (!ok) {
+      throw Error("bad value in " + std::string(cmd.name) + " flag '" + flag +
+                  "'" + reason);
+    }
+  }
+}
+
+int usage(const std::vector<Command>& table) {
+  std::cerr << "usage:\n";
+  for (const Command& cmd : table) {
+    std::cerr << "  m3dfl_tool " << cmd.name;
+    for (const ArgSpec& arg : cmd.args) std::cerr << " " << arg.name;
+    std::string line = "     ";
+    for (const FlagSpec& flag : cmd.flags) {
+      const std::string item = std::string("[") + flag.name +
+                               (*flag.meta != '\0' ? "=" : "") + flag.meta +
+                               "]";
+      if (line.size() + item.size() >= 79) {
+        std::cerr << "\n" << line;
+        line = "     ";
+      }
+      line += " " + item;
+    }
+    if (!cmd.flags.empty()) std::cerr << "\n" << line;
+    std::cerr << "\n      " << cmd.summary << "\n";
+  }
+  std::cerr << "profiles: aes|tate|netcard|leon3mp  "
+               "configs: syn1|tpi|syn2|par\n";
   return 2;
 }
 
@@ -1319,78 +1229,32 @@ int usage() {
 
 int main(int argc, char** argv) {
   try {
-    // Split "--flag[=value]" arguments (serve only) from positionals so
-    // flags may appear anywhere on the command line.
+    // Split "--flag[=value]" arguments from positionals so flags may appear
+    // anywhere on the command line.
     std::vector<std::string> positional;
     std::vector<std::string> flags;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       (arg.rfind("--", 0) == 0 ? flags : positional).push_back(arg);
     }
-    if (positional.size() < 2) return usage();
-    const std::string cmd = positional[0];
-    if (cmd == "serve" && positional.size() >= 4 && positional.size() <= 6) {
-      return cmd_serve(positional[1], positional[2], positional[3],
-                       positional.size() >= 5 ? positional[4] : "syn1",
-                       positional.size() == 6 ? positional[5] : "4",
-                       parse_serve_flags(flags));
+    Flags values;
+    const std::vector<Command> table = command_table(values);
+    if (positional.empty()) return usage(table);
+    const auto cmd = std::find_if(
+        table.begin(), table.end(),
+        [&](const Command& c) { return positional[0] == c.name; });
+    Args args(positional.begin() + 1, positional.end());
+    if (cmd == table.end() || args.size() > cmd->args.size()) {
+      return usage(table);
     }
-    if (cmd == "train" && positional.size() == 3) {
-      return cmd_train(positional[1], positional[2],
-                       parse_train_flags(flags));
+    // Required arguments precede optional ones, so a missing one is the
+    // first omitted spec without a fallback.
+    for (std::size_t i = args.size(); i < cmd->args.size(); ++i) {
+      if (cmd->args[i].fallback == nullptr) return usage(table);
+      args.emplace_back(cmd->args[i].fallback);
     }
-    if (cmd == "analyze" &&
-        (positional.size() == 2 || positional.size() == 3)) {
-      return cmd_analyze(positional[1],
-                         positional.size() == 3 ? positional[2] : "syn1",
-                         parse_analyze_flags(flags));
-    }
-    if (cmd == "lint" && (positional.size() == 2 || positional.size() == 3)) {
-      return cmd_lint(positional[1],
-                      positional.size() == 3 ? positional[2] : "syn1",
-                      parse_lint_flags(flags));
-    }
-    if (cmd == "diagnose" && (positional.size() == 4 ||
-                              positional.size() == 5)) {
-      return cmd_diagnose(positional[1], positional[2], positional[3],
-                          positional.size() == 5 ? positional[4] : "syn1",
-                          parse_diagnose_flags(flags));
-    }
-    if (cmd == "perturb-log" && (positional.size() == 4 ||
-                                 positional.size() == 5)) {
-      return cmd_perturb_log(positional[1], positional[2], positional[3],
-                             positional.size() == 5 ? positional[4] : "syn1",
-                             parse_noise_flags(flags));
-    }
-    if (cmd == "fleet" && positional.size() == 3) {
-      return cmd_fleet(positional[1], positional[2],
-                       parse_fleet_flags(flags));
-    }
-    if (cmd == "journal" && positional.size() == 2) {
-      return cmd_journal(positional[1], flags);
-    }
-    if (!flags.empty()) {
-      throw Error("flags are only accepted by the 'serve', 'train', 'lint', "
-                  "'analyze', 'diagnose', 'perturb-log', 'fleet', and "
-                  "'journal' commands");
-    }
-    if (cmd == "migrate-artifact" && positional.size() == 3) {
-      return cmd_migrate_artifact(positional[1], positional[2]);
-    }
-    const std::size_t n = positional.size();
-    if (cmd == "generate" && n == 3) {
-      return cmd_generate(positional[1], positional[2]);
-    }
-    if (cmd == "verilog" && n == 3) {
-      return cmd_verilog(positional[1], positional[2]);
-    }
-    if (cmd == "stats" && (n == 2 || n == 3)) {
-      return cmd_stats(positional[1], n == 3 ? positional[2] : "syn1");
-    }
-    if (cmd == "inject" && n == 3) {
-      return cmd_inject(positional[1], positional[2]);
-    }
-    return usage();
+    parse_flags(*cmd, flags);
+    return cmd->run(args, values);
   } catch (const std::exception& e) {
     std::cerr << "m3dfl_tool: " << e.what() << "\n";
     return 1;
