@@ -53,7 +53,6 @@ struct Kernel {
 void run(bool smoke) {
   print_banner("Microkernels: per-primitive latency");
   BenchState s(smoke);
-  const DesignContext ctx = s.design->context();
 
   LocSimulator sim(s.design->netlist());
   FaultSimulator fsim(s.design->netlist(), s.design->good_sim(),

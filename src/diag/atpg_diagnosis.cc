@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
-#include <unordered_set>
+#include <span>
 
 #include "sim/fault_sim.h"
 #include "sta/collapse.h"
@@ -12,37 +12,47 @@
 namespace m3dfl {
 namespace {
 
-// Failure-log entries encoded as sortable 64-bit keys (bit granularity).
-std::vector<std::uint64_t> bit_signature(const FailureLog& log) {
-  std::vector<std::uint64_t> sig;
-  sig.reserve(static_cast<std::size_t>(log.num_failing_bits()));
+// Failure-log entries encoded as sortable 64-bit keys (bit granularity),
+// written into `*sig`.
+void bit_signature(const FailureLog& log, std::vector<std::uint64_t>* sig) {
+  sig->clear();
   for (const Observation& o : log.scan_fails) {
-    sig.push_back((0ULL << 62) | (static_cast<std::uint64_t>(o.pattern) << 24) |
-                  static_cast<std::uint64_t>(o.index));
+    sig->push_back((0ULL << 62) |
+                   (static_cast<std::uint64_t>(o.pattern) << 24) |
+                   static_cast<std::uint64_t>(o.index));
   }
   for (const ChannelFail& c : log.channel_fails) {
-    sig.push_back((2ULL << 62) | (static_cast<std::uint64_t>(c.pattern) << 32) |
-                  (static_cast<std::uint64_t>(c.channel) << 16) |
-                  static_cast<std::uint64_t>(c.position));
+    sig->push_back((2ULL << 62) |
+                   (static_cast<std::uint64_t>(c.pattern) << 32) |
+                   (static_cast<std::uint64_t>(c.channel) << 16) |
+                   static_cast<std::uint64_t>(c.position));
   }
   for (const Observation& o : log.po_fails) {
-    sig.push_back((1ULL << 62) | (static_cast<std::uint64_t>(o.pattern) << 24) |
-                  static_cast<std::uint64_t>(o.index));
+    sig->push_back((1ULL << 62) |
+                   (static_cast<std::uint64_t>(o.pattern) << 24) |
+                   static_cast<std::uint64_t>(o.index));
   }
-  std::sort(sig.begin(), sig.end());
-  return sig;
+  std::sort(sig->begin(), sig->end());
 }
 
-// Distinct failing patterns of a log, sorted (the scoring granularity).
-std::vector<std::int32_t> pattern_signature(const FailureLog& log) {
-  std::vector<std::int32_t> sig;
-  for (const Observation& o : log.scan_fails) sig.push_back(o.pattern);
-  for (const ChannelFail& c : log.channel_fails) sig.push_back(c.pattern);
-  for (const Observation& o : log.po_fails) sig.push_back(o.pattern);
-  std::sort(sig.begin(), sig.end());
-  sig.erase(std::unique(sig.begin(), sig.end()), sig.end());
-  return sig;
-}
+// One candidate's predicted failure log and its signatures.  Scoring reuses
+// one Prediction for every candidate, so no containers are built per
+// candidate.
+struct Prediction {
+  FailureLog log;
+  std::vector<std::int32_t> patterns;  // distinct failing patterns, sorted
+  std::vector<std::uint64_t> bits;     // bit_signature(log)
+
+  // Candidate predictions see the same tester fail-memory truncation as the
+  // observed log, so the comparison stays apples-to-apples.
+  void predict(const DesignContext& design, const XorCompactor* compactor,
+               const std::vector<Observation>& raw,
+               std::int32_t pattern_limit) {
+    make_failure_log(raw, *design.scan, compactor, &log);
+    failing_patterns(log, &patterns);
+    truncate_failure_log(&log, pattern_limit, &patterns);
+  }
+};
 
 // |a ∩ b| for sorted vectors.
 template <typename T>
@@ -148,7 +158,7 @@ std::vector<std::int32_t> count_suspects(const DesignContext& design,
 // The first TDF seen from a class is simulated; later members reuse its
 // observation list, which structural equivalence guarantees is identical.
 // Observations depend only on (netlist, good simulation), so one cache
-// serves every FaultSimulator instance of a diagnosis run.
+// serves the whole diagnosis run, cover rounds included.
 class ObservationCache {
  public:
   ObservationCache(const Netlist& netlist, bool enabled) {
@@ -161,7 +171,7 @@ class ObservationCache {
   const std::vector<Observation>& simulate(FaultSimulator& fsim,
                                            const Fault& fault) {
     if (!collapsed_ || fault.is_miv() || fault.is_static()) {
-      scratch_ = fsim.simulate(fault);
+      fsim.simulate(std::span<const Fault>(&fault, 1), &scratch_);
       return scratch_;
     }
     const auto cls = static_cast<std::size_t>(
@@ -219,10 +229,21 @@ DiagnosisReport diagnose_cover(const DesignContext& design,
                                const FailureLog& log,
                                const DiagnosisOptions& options,
                                const std::vector<Response>& responses,
+                               FaultSimulator& fsim,
                                ObservationCache& obs_cache) {
   const Netlist& nl = *design.netlist;
-  FaultSimulator fsim(nl, *design.good, design.mivs);
   const XorCompactor* compactor = log.compacted ? design.compactor : nullptr;
+
+  // A scored candidate plus its predicted failing patterns, which live in
+  // `predicted_pool` so the rounds reuse one buffer.
+  struct Scored {
+    Candidate candidate;
+    std::size_t offset = 0;
+    std::size_t size = 0;
+  };
+  std::vector<Scored> scored;
+  std::vector<std::int32_t> predicted_pool;
+  Prediction pred;
 
   DiagnosisReport report;
   std::vector<Response> remaining = responses;
@@ -257,17 +278,13 @@ DiagnosisReport diagnose_cover(const DesignContext& design,
 
     // Score the anchor-consistent candidates by how many remaining failing
     // patterns they explain.
-    struct Scored {
-      Candidate candidate;
-      std::vector<std::int32_t> predicted;
-    };
-    std::vector<Scored> scored;
+    scored.clear();
+    predicted_pool.clear();
     for (const Fault& f : enumerate_candidates(design, suspects, options)) {
       const std::vector<Observation>& raw = obs_cache.simulate(fsim, f);
       if (raw.empty()) continue;
-      const FailureLog predicted_log = truncate_failure_log(
-          make_failure_log(raw, *design.scan, compactor), log.pattern_limit);
-      std::vector<std::int32_t> predicted = pattern_signature(predicted_log);
+      pred.predict(design, compactor, raw, log.pattern_limit);
+      const std::vector<std::int32_t>& predicted = pred.patterns;
       Candidate c;
       c.fault = f;
       c.tfsf = sorted_overlap(observed, predicted);
@@ -280,7 +297,11 @@ DiagnosisReport diagnose_cover(const DesignContext& design,
                                     anchor)
                      ? 2.0
                      : 0.0);
-      if (c.tfsf > 0) scored.push_back(Scored{c, std::move(predicted)});
+      if (c.tfsf > 0) {
+        scored.push_back(Scored{c, predicted_pool.size(), predicted.size()});
+        predicted_pool.insert(predicted_pool.end(), predicted.begin(),
+                              predicted.end());
+      }
     }
 
     if (!scored.empty()) {
@@ -321,8 +342,11 @@ DiagnosisReport diagnose_cover(const DesignContext& design,
 
     // Subtract the anchored response (guaranteed progress) plus every
     // response whose pattern the round's best explanation covers.
-    std::vector<std::int32_t> explained;
-    if (!scored.empty()) explained = scored.front().predicted;
+    std::span<const std::int32_t> explained;
+    if (!scored.empty()) {
+      explained = std::span<const std::int32_t>(predicted_pool)
+                      .subspan(scored.front().offset, scored.front().size);
+    }
     std::vector<Response> next;
     for (std::size_t i = 0; i < remaining.size(); ++i) {
       if (i == anchor_idx) continue;
@@ -349,6 +373,7 @@ DiagnosisReport diagnose_atpg(const DesignContext& design,
   DiagnosisReport report;
   if (log.empty()) return report;
   const Netlist& nl = *design.netlist;
+  FaultSimulator fsim(nl, *design.good, design.mivs);
   ObservationCache obs_cache(nl, options.collapse_equivalent_candidates);
 
   // ---- Effect-cause: suspect nets -----------------------------------------
@@ -371,36 +396,34 @@ DiagnosisReport diagnose_atpg(const DesignContext& design,
     // Multi-fault dies rarely share a common cone across all responses; the
     // standard remedy is iterative covering: diagnose the strongest
     // remaining fault, subtract the responses it explains, repeat.
-    return diagnose_cover(design, log, options, responses, obs_cache);
+    return diagnose_cover(design, log, options, responses, fsim, obs_cache);
   }
 
   // ---- Cause-effect: candidate enumeration and simulation -----------------
   const std::vector<Fault> candidates =
       enumerate_candidates(design, suspects, options);
 
-  const std::vector<std::int32_t> observed = pattern_signature(log);
-  const std::vector<std::uint64_t> observed_bits = bit_signature(log);
-  FaultSimulator fsim(nl, *design.good, design.mivs);
+  std::vector<std::int32_t> observed;
+  failing_patterns(log, &observed);
+  std::vector<std::uint64_t> observed_bits;
+  bit_signature(log, &observed_bits);
   const XorCompactor* compactor = log.compacted ? design.compactor : nullptr;
 
   std::vector<Candidate> scored;
+  Prediction pred;
   for (const Fault& f : candidates) {
     const std::vector<Observation>& raw = obs_cache.simulate(fsim, f);
     if (raw.empty()) continue;
-    // Candidate predictions see the same tester fail-memory truncation as
-    // the observed log, so the comparison stays apples-to-apples.
-    const FailureLog predicted_log = truncate_failure_log(
-        make_failure_log(raw, *design.scan, compactor), log.pattern_limit);
-    const std::vector<std::int32_t> predicted =
-        pattern_signature(predicted_log);
+    pred.predict(design, compactor, raw, log.pattern_limit);
+    bit_signature(pred.log, &pred.bits);
 
     Candidate c;
     c.fault = f;
-    c.tfsf = sorted_overlap(observed, predicted);
+    c.tfsf = sorted_overlap(observed, pred.patterns);
     c.tfsp = static_cast<std::int32_t>(observed.size()) - c.tfsf;
-    c.tpsf = static_cast<std::int32_t>(predicted.size()) - c.tfsf;
+    c.tpsf = static_cast<std::int32_t>(pred.patterns.size()) - c.tfsf;
     c.bit_tfsp = static_cast<std::int32_t>(observed_bits.size()) -
-                 sorted_overlap(observed_bits, bit_signature(predicted_log));
+                 sorted_overlap(observed_bits, pred.bits);
     c.score = static_cast<double>(c.tfsf) - options.w_tfsp * c.tfsp -
               options.w_tpsf * c.tpsf - options.w_bit_tfsp * c.bit_tfsp;
     if (c.score <= 0.0) continue;
@@ -414,7 +437,7 @@ DiagnosisReport diagnose_atpg(const DesignContext& design,
   for (const Candidate& c : scored) have_perfect |= c.perfect();
   if (scored.empty() ||
       (options.include_stuck_at_candidates && !have_perfect)) {
-    return diagnose_cover(design, log, options, responses, obs_cache);
+    return diagnose_cover(design, log, options, responses, fsim, obs_cache);
   }
 
   // Rank by pattern-level score; within a tie the candidates are behaviour-

@@ -58,6 +58,14 @@ struct FailureLog {
 FailureLog make_failure_log(const std::vector<Observation>& raw,
                             const ScanChains& chains,
                             const XorCompactor* compactor);
+// Same, written into `*out` (fully overwritten) so hot loops reuse its
+// buffers.
+void make_failure_log(const std::vector<Observation>& raw,
+                      const ScanChains& chains, const XorCompactor* compactor,
+                      FailureLog* out);
+
+// Distinct failing patterns of a log, ascending, written into `*out`.
+void failing_patterns(const FailureLog& log, std::vector<std::int32_t>* out);
 
 // Models the tester's limited fail memory: keeps only the entries of the
 // first `max_failing_patterns` distinct failing patterns (stop-on-Nth-fail).
@@ -65,9 +73,14 @@ FailureLog make_failure_log(const std::vector<Observation>& raw,
 // truncated logs is the root of much of the resolution loss commercial
 // tools exhibit — especially with large pattern sets (netcard) and response
 // compaction, where each surviving bit carries less information.
-// No-op when max_failing_patterns <= 0.
-FailureLog truncate_failure_log(const FailureLog& log,
+// No-op when max_failing_patterns <= 0; otherwise the returned log holds no
+// spare capacity.
+FailureLog truncate_failure_log(FailureLog log,
                                 std::int32_t max_failing_patterns);
+// In-place form for hot loops: `*patterns` must hold failing_patterns(*log)
+// and is truncated along with the log.
+void truncate_failure_log(FailureLog* log, std::int32_t max_failing_patterns,
+                          std::vector<std::int32_t>* patterns);
 
 }  // namespace m3dfl
 

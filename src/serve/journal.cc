@@ -225,6 +225,7 @@ SessionJournal::SessionJournal(std::string dir, JournalOptions options)
   }
   open_next_segment();
   M3DFL_REQUIRE(fd_ >= 0, "cannot open journal segment in '" + dir_ + "'");
+  created_segment_ = segment_path_;
 }
 
 SessionJournal::~SessionJournal() {

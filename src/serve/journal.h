@@ -163,6 +163,10 @@ class SessionJournal {
   bool durable() const { return durable_; }
   const std::string& dir() const { return dir_; }
   std::string active_segment() const { return segment_path_; }
+  // The segment the constructor created; empty when it continued an
+  // existing one.  It holds only this writer's events, so recovery reports
+  // leave it out.
+  const std::string& created_segment() const { return created_segment_; }
   std::int64_t wall_ms() const { return options_.wall_ms(); }
 
   // ---- static readers (no live writer required) ---------------------------
@@ -197,6 +201,7 @@ class SessionJournal {
   JournalOptions options_;
   int fd_ = -1;
   std::string segment_path_;
+  std::string created_segment_;
   std::uint64_t segment_index_ = 0;
   std::size_t segment_bytes_ = 0;
   bool durable_ = true;

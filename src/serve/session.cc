@@ -1,6 +1,7 @@
 #include "serve/session.h"
 
 #include <algorithm>
+#include <filesystem>
 #include <utility>
 
 #include "diag/log_io.h"
@@ -410,8 +411,16 @@ RecoveryStats SessionManager::recover(Clock::time_point now) {
   RecoveryStats stats;
   if (journal_ == nullptr) return stats;
   const JournalReplay replay = SessionJournal::replay(options_.journal_dir);
-  stats.segments = replay.segments.size();
-  stats.records_scanned = replay.records;
+  // The segment this manager's journal created holds no evidence of an
+  // earlier run, so the counts leave it out: a fresh directory reports no
+  // segments at all.
+  const std::filesystem::path own =
+      std::filesystem::path(journal_->created_segment()).filename();
+  for (const SegmentScan& segment : replay.segments) {
+    if (std::filesystem::path(segment.path).filename() == own) continue;
+    ++stats.segments;
+    stats.records_scanned += segment.records.size();
+  }
   stats.diagnostics = replay.diagnostics;
   const std::int64_t now_wall = journal_->wall_ms();
 

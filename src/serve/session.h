@@ -85,8 +85,10 @@ struct RecoveryStats {
   std::size_t recovered = 0;
   std::size_t expired = 0;
   std::size_t discarded = 0;
-  std::size_t segments = 0;          // journal segments scanned
-  std::size_t records_scanned = 0;   // valid frames across all segments
+  // Journal segments scanned and the valid frames in them, excluding the
+  // segment this manager's own journal created.
+  std::size_t segments = 0;
+  std::size_t records_scanned = 0;
   std::size_t lines_replayed = 0;    // stream records fed into rebuilt sessions
   // Session ids of the rebuilt (recovered) sessions, in journal order; the
   // CLI finalizes these to deliver results a crashed run never produced.

@@ -2,9 +2,21 @@
 
 #include <algorithm>
 #include <bit>
-#include <queue>
+#include <limits>
 
 namespace m3dfl {
+namespace {
+
+// Advances a 32-bit stamp version.  On wrap-around the stamp arrays it
+// guards are cleared, so a stale stamp can never match again.
+template <typename... Stamps>
+void next_version(std::uint32_t& version, Stamps&... stamps) {
+  if (++version != 0) return;
+  (std::fill(stamps.begin(), stamps.end(), 0u), ...);
+  version = 1;
+}
+
+}  // namespace
 
 FaultSimulator::FaultSimulator(const Netlist& netlist,
                                const LocSimulator& good, const MivMap* mivs)
@@ -12,10 +24,23 @@ FaultSimulator::FaultSimulator(const Netlist& netlist,
   M3DFL_REQUIRE(&good.netlist() == &netlist,
                 "good-machine results belong to a different netlist");
   const auto n = static_cast<std::size_t>(netlist.num_gates());
-  topo_pos_.assign(n, -1);
-  for (std::size_t i = 0; i < netlist.topo_order().size(); ++i) {
-    topo_pos_[static_cast<std::size_t>(netlist.topo_order()[i])] =
-        static_cast<std::int32_t>(i);
+  level_.assign(n, 0);
+  std::int32_t max_level = 0;
+  for (GateId g : netlist.topo_order()) {
+    std::int32_t lvl = 0;
+    for (NetId in : netlist.gate(g).fanin) {
+      lvl = std::max(
+          lvl, level_[static_cast<std::size_t>(netlist.net(in).driver)]);
+    }
+    level_[static_cast<std::size_t>(g)] = lvl + 1;
+    max_level = std::max(max_level, lvl + 1);
+  }
+  buckets_.resize(static_cast<std::size_t>(max_level) + 1);
+  first_pin_.assign(n, kNullPin);
+  for (GateId g = 0; g < netlist.num_gates(); ++g) {
+    if (!netlist.gate(g).fanin.empty()) {
+      first_pin_[static_cast<std::size_t>(g)] = netlist.input_pin(g, 0);
+    }
   }
   flop_index_.assign(n, -1);
   for (std::size_t i = 0; i < netlist.flops().size(); ++i) {
@@ -27,261 +52,224 @@ FaultSimulator::FaultSimulator(const Netlist& netlist,
     po_index_[static_cast<std::size_t>(netlist.primary_outputs()[i])] =
         static_cast<std::int32_t>(i);
   }
-  val_.assign(static_cast<std::size_t>(netlist.num_nets()), 0);
-  stamp_.assign(static_cast<std::size_t>(netlist.num_nets()), 0);
-  val1_.assign(static_cast<std::size_t>(netlist.num_nets()), 0);
-  stamp1_.assign(static_cast<std::size_t>(netlist.num_nets()), 0);
+
+  const auto pins = static_cast<std::size_t>(netlist.num_pins());
+  const auto nets = static_cast<std::size_t>(netlist.num_nets());
+  branch_type_.assign(pins, FaultType::kSlowToRise);
+  branch_stamp_.assign(pins, 0);
+  stem_type_.assign(nets, FaultType::kSlowToRise);
+  stem_stamp_.assign(nets, 0);
+  branch_gate_stamp_.assign(n, 0);
+  val_.assign(nets, 0);
+  stamp_.assign(nets, 0);
+  val1_.assign(nets, 0);
+  stamp1_.assign(nets, 0);
+  scheduled_.assign(n, 0);
 }
 
-FaultSimulator::Cone FaultSimulator::build_cone(
-    std::span<const Fault> faults) const {
+void FaultSimulator::set_branch(PinId pin, GateId gate, FaultType type) {
+  branch_type_[static_cast<std::size_t>(pin)] = type;
+  branch_stamp_[static_cast<std::size_t>(pin)] = fault_version_;
+  std::uint32_t& held = branch_gate_stamp_[static_cast<std::size_t>(gate)];
+  if (held != fault_version_) {
+    held = fault_version_;
+    branch_gates_.push_back(gate);
+  }
+}
+
+void FaultSimulator::load_faults(std::span<const Fault> faults) {
   const Netlist& nl = *netlist_;
-  Cone cone;
-  std::vector<char> gate_seen(static_cast<std::size_t>(nl.num_gates()), 0);
-  std::vector<char> flop_seen(nl.flops().size(), 0);
-  std::vector<char> po_seen(nl.primary_outputs().size(), 0);
-  std::queue<GateId> frontier;
-
-  const auto touch_gate = [&](GateId g) {
-    if (gate_seen[static_cast<std::size_t>(g)]) return;
-    gate_seen[static_cast<std::size_t>(g)] = 1;
-    const Gate& gate = nl.gate(g);
-    if (is_combinational(gate.type)) {
-      frontier.push(g);
-    } else if (gate.type == GateType::kScanFlop) {
-      const std::int32_t fi = flop_index_[static_cast<std::size_t>(g)];
-      if (!flop_seen[static_cast<std::size_t>(fi)]) {
-        flop_seen[static_cast<std::size_t>(fi)] = 1;
-        cone.flops.push_back(fi);
-      }
-    } else if (gate.type == GateType::kPrimaryOutput) {
-      const std::int32_t pi = po_index_[static_cast<std::size_t>(g)];
-      if (!po_seen[static_cast<std::size_t>(pi)]) {
-        po_seen[static_cast<std::size_t>(pi)] = 1;
-        cone.pos.push_back(pi);
-      }
-    }
-  };
-  const auto drain = [&] {
-    while (!frontier.empty()) {
-      const GateId g = frontier.front();
-      frontier.pop();
-      cone.gates.push_back(g);
-      const NetId out = nl.gate(g).fanout;
-      for (const PinRef& sink : nl.net(out).sinks) touch_gate(sink.gate);
-    }
-  };
-
+  next_version(fault_version_, branch_stamp_, stem_stamp_,
+               branch_gate_stamp_);
+  stem_nets_.clear();
+  branch_gates_.clear();
+  has_static_ = false;
   for (const Fault& f : faults) {
-    cone.has_static = cone.has_static || f.is_static();
+    has_static_ = has_static_ || f.is_static();
     if (f.is_miv()) {
       M3DFL_REQUIRE(mivs_ != nullptr,
                     "MIV fault simulated without an MIV map");
-      const Miv& miv = mivs_->miv(f.miv);
-      for (const PinRef& sink : miv.far_sinks) {
-        cone.branches[nl.pin_id(sink)] = FaultType::kMivDelay;
-        touch_gate(sink.gate);
+      for (const PinRef& sink : mivs_->miv(f.miv).far_sinks) {
+        set_branch(nl.pin_id(sink), sink.gate, FaultType::kMivDelay);
       }
       continue;
     }
     const PinRef ref = nl.pin_ref(f.pin);
-    if (ref.is_output()) {
-      const NetId net = nl.gate(ref.gate).fanout;
-      M3DFL_ASSERT(net != kNullNet);
-      cone.stems.emplace(net, f.type);
-      for (const PinRef& sink : nl.net(net).sinks) touch_gate(sink.gate);
-    } else {
-      cone.branches[f.pin] = f.type;
-      touch_gate(ref.gate);
+    if (!ref.is_output()) {
+      set_branch(f.pin, ref.gate, f.type);
+      continue;
+    }
+    const NetId net = nl.gate(ref.gate).fanout;
+    M3DFL_ASSERT(net != kNullNet);
+    std::uint32_t& held = stem_stamp_[static_cast<std::size_t>(net)];
+    if (held != fault_version_) {
+      held = fault_version_;
+      stem_type_[static_cast<std::size_t>(net)] = f.type;
+      stem_nets_.push_back(net);
     }
   }
-  drain();
-  // Gates reachable in the launch-cycle cone (before the static extension
-  // below): stem overrides on nets driven from outside this set must be
-  // seeded in the launch cycle.
-  const std::vector<char> seen_v1 = gate_seen;
-
-  // Static faults corrupt the launch state: the flops reached in the V1 cone
-  // re-launch from faulty values, so the capture-cycle cone extends through
-  // their Q fan-out.  (Flops discovered during this extension capture at V2
-  // only — their launch is unaffected — so the extension runs once.)
-  if (cone.has_static) {
-    cone.gates_v1 = cone.gates;
-    cone.launch_flops = cone.flops;
-    for (std::int32_t fi : cone.launch_flops) {
-      const GateId ff = nl.flops()[static_cast<std::size_t>(fi)];
-      const NetId qnet = nl.gate(ff).fanout;
-      if (qnet == kNullNet) continue;
-      for (const PinRef& sink : nl.net(qnet).sinks) touch_gate(sink.gate);
-    }
-    drain();
-  }
-
-  const auto by_topo = [&](GateId a, GateId b) {
-    return topo_pos_[static_cast<std::size_t>(a)] <
-           topo_pos_[static_cast<std::size_t>(b)];
-  };
-  std::sort(cone.gates.begin(), cone.gates.end(), by_topo);
-  std::sort(cone.gates_v1.begin(), cone.gates_v1.end(), by_topo);
-
-  // Stems whose driver is not re-evaluated in a cycle's schedule must be
-  // applied as seed values for that cycle.  The two cycles differ: the
-  // static extension can pull a stem's driver into the capture-cycle
-  // schedule (feedback through a re-launched flop) while the launch cycle
-  // still needs the seed.
-  for (const auto& [net, type] : cone.stems) {
-    (void)type;
-    const GateId driver = nl.net(net).driver;
-    const bool comb = is_combinational(nl.gate(driver).type);
-    if (!gate_seen[static_cast<std::size_t>(driver)] || !comb) {
-      cone.seed_stems.push_back(net);
-    }
-    if (!seen_v1[static_cast<std::size_t>(driver)] || !comb) {
-      cone.seed_stems_v1.push_back(net);
-    }
-  }
-  return cone;
 }
 
-bool FaultSimulator::simulate_word(const Cone& cone, std::int32_t w,
-                                   std::vector<Observation>* out) {
-  const Netlist& nl = *netlist_;
-  ++version_;
+template <bool kLaunch>
+std::uint64_t FaultSimulator::apply(FaultType type, NetId net,
+                                    std::uint64_t v, std::int32_t w) const {
+  if constexpr (kLaunch) {
+    return is_static_fault(type) ? faulty_value(type, v, v) : v;
+  } else {
+    return faulty_value(type, value_v1(net, w), v);
+  }
+}
+
+template <bool kLaunch>
+std::uint64_t FaultSimulator::read_input(GateId g, std::int32_t i, NetId net,
+                                         std::uint64_t v,
+                                         std::int32_t w) const {
+  if (branch_gate_stamp_[static_cast<std::size_t>(g)] != fault_version_) {
+    return v;
+  }
+  const auto pin =
+      static_cast<std::size_t>(first_pin_[static_cast<std::size_t>(g)] + i);
+  return branch_stamp_[pin] == fault_version_
+             ? apply<kLaunch>(branch_type_[pin], net, v, w)
+             : v;
+}
+
+void FaultSimulator::begin_pass() {
+  next_version(pass_, scheduled_);
+  terminals_.clear();
+  lo_ = std::numeric_limits<std::int32_t>::max();
+  hi_ = 0;
+}
+
+void FaultSimulator::schedule(GateId g) {
+  std::uint32_t& mark = scheduled_[static_cast<std::size_t>(g)];
+  if (mark == pass_) return;
+  mark = pass_;
+  const std::int32_t lvl = level_[static_cast<std::size_t>(g)];
+  if (lvl == 0) {
+    terminals_.push_back(g);  // flop or PO
+    return;
+  }
+  buckets_[static_cast<std::size_t>(lvl)].push_back(g);
+  lo_ = std::min(lo_, lvl);
+  hi_ = std::max(hi_, lvl);
+}
+
+template <bool kLaunch>
+void FaultSimulator::seed(std::int32_t w) {
+  for (NetId net : stem_nets_) {
+    const std::uint64_t cur = value<kLaunch>(net, w);
+    const std::uint64_t f = apply<kLaunch>(
+        stem_type_[static_cast<std::size_t>(net)], net, cur, w);
+    if (f != cur) {
+      set_value<kLaunch>(net, f);
+      schedule_sinks(net);
+    }
+  }
+  for (GateId g : branch_gates_) schedule(g);
+}
+
+template <bool kLaunch>
+void FaultSimulator::evaluate(GateId g, std::int32_t w) {
+  const Gate& gate = netlist_->gate(g);
+  const std::size_t k = gate.fanin.size();
+  M3DFL_ASSERT(k <= 8);
   std::uint64_t inputs[8];
+  for (std::size_t i = 0; i < k; ++i) {
+    const NetId net = gate.fanin[i];
+    inputs[i] = read_input<kLaunch>(g, static_cast<std::int32_t>(i), net,
+                                    value<kLaunch>(net, w), w);
+  }
+  std::uint64_t outv =
+      eval_gate(gate.type, std::span<const std::uint64_t>(inputs, k));
+  const NetId out = gate.fanout;
+  if (stem_stamp_[static_cast<std::size_t>(out)] == fault_version_) {
+    outv = apply<kLaunch>(stem_type_[static_cast<std::size_t>(out)], out,
+                          outv, w);
+  }
+  if (outv != value<kLaunch>(out, w)) {
+    set_value<kLaunch>(out, outv);
+    schedule_sinks(out);
+  }
+}
+
+template <bool kLaunch>
+void FaultSimulator::propagate(std::int32_t w) {
+  // Sinks sit strictly above their drivers, so a bucket never grows while
+  // it is drained and hi_ can only rise ahead of the sweep.
+  for (std::int32_t lvl = lo_; lvl <= hi_; ++lvl) {
+    std::vector<GateId>& bucket = buckets_[static_cast<std::size_t>(lvl)];
+    for (GateId g : bucket) evaluate<kLaunch>(g, w);
+    bucket.clear();
+  }
+}
+
+bool FaultSimulator::run_word(std::int32_t w,
+                              std::vector<Observation>* out) {
+  const Netlist& nl = *netlist_;
+  next_version(version_, stamp_, stamp1_);
+  relaunched_.clear();
 
   // ---- Launch cycle (static faults only) -----------------------------------
-  if (cone.has_static) {
-    for (NetId net : cone.seed_stems_v1) {
-      const FaultType type = cone.stems.at(net);
-      if (!is_static_fault(type)) continue;
-      const std::uint64_t cur = good_->v1(net, w);
-      const std::uint64_t f = faulty_value(type, cur, cur);
-      if (f != cur) set_value_v1(net, f);
-    }
-    for (GateId g : cone.gates_v1) {
-      const Gate& gate = nl.gate(g);
-      const std::size_t k = gate.fanin.size();
-      M3DFL_ASSERT(k <= 8);
-      for (std::size_t i = 0; i < k; ++i) {
-        const NetId net = gate.fanin[i];
-        std::uint64_t v = value_v1(net, w);
-        if (!cone.branches.empty()) {
-          const auto it = cone.branches.find(
-              nl.input_pin(g, static_cast<std::int32_t>(i)));
-          if (it != cone.branches.end() && is_static_fault(it->second)) {
-            v = faulty_value(it->second, v, v);
-          }
-        }
-        inputs[i] = v;
-      }
-      std::uint64_t outv =
-          eval_gate(gate.type, std::span<const std::uint64_t>(inputs, k));
-      const NetId out_net = gate.fanout;
-      const auto stem_it = cone.stems.find(out_net);
-      if (stem_it != cone.stems.end() && is_static_fault(stem_it->second)) {
-        outv = faulty_value(stem_it->second, outv, outv);
-      }
-      if (outv != good_->v1(out_net, w)) set_value_v1(out_net, outv);
-    }
-    // Re-launch the affected flops: their Q nets carry the faulty captured
-    // values through the at-speed cycle.
-    for (std::int32_t fi : cone.launch_flops) {
-      const GateId ff = nl.flops()[static_cast<std::size_t>(fi)];
-      const NetId dnet = nl.gate(ff).fanin[0];
-      std::uint64_t v = value_v1(dnet, w);
-      if (!cone.branches.empty()) {
-        const auto it = cone.branches.find(nl.input_pin(ff, 0));
-        if (it != cone.branches.end() && is_static_fault(it->second)) {
-          v = faulty_value(it->second, v, v);
-        }
-      }
-      const NetId qnet = nl.gate(ff).fanout;
-      if (qnet != kNullNet && v != good_->v2(qnet, w)) {
-        // Good launch state == good v1 of the D net == good v2 of the Q net.
-        set_value(qnet, v);
+  if (has_static_) {
+    begin_pass();
+    seed<true>(w);
+    propagate<true>(w);
+    // Re-launch the flops whose faulty launch capture differs: their Q nets
+    // carry it through the at-speed cycle.  (Good launch state == good V1 of
+    // the D net == good V2 of the Q net.)
+    for (GateId t : terminals_) {
+      if (flop_index_[static_cast<std::size_t>(t)] < 0) continue;
+      const Gate& ff = nl.gate(t);
+      if (ff.fanout == kNullNet) continue;
+      const NetId d = ff.fanin[0];
+      const std::uint64_t v = read_input<true>(t, 0, d, value_v1(d, w), w);
+      if (v != good_->v2(ff.fanout, w)) {
+        set_value<false>(ff.fanout, v);
+        relaunched_.push_back(ff.fanout);
       }
     }
   }
 
   // ---- At-speed capture cycle ----------------------------------------------
-  for (NetId net : cone.seed_stems) {
-    const FaultType type = cone.stems.at(net);
-    const std::uint64_t cur = value(net, w);
-    const std::uint64_t f = faulty_value(type, value_v1(net, w), cur);
-    if (f != cur) set_value(net, f);
-  }
+  begin_pass();
+  for (NetId q : relaunched_) schedule_sinks(q);
+  seed<false>(w);
+  propagate<false>(w);
 
-  for (GateId g : cone.gates) {
-    const Gate& gate = nl.gate(g);
-    const std::size_t k = gate.fanin.size();
-    M3DFL_ASSERT(k <= 8);
-    for (std::size_t i = 0; i < k; ++i) {
-      const NetId net = gate.fanin[i];
-      std::uint64_t v = value(net, w);
-      if (!cone.branches.empty()) {
-        const auto it =
-            cone.branches.find(nl.input_pin(g, static_cast<std::int32_t>(i)));
-        if (it != cone.branches.end()) {
-          v = faulty_value(it->second, value_v1(net, w), v);
-        }
-      }
-      inputs[i] = v;
-    }
-    std::uint64_t outv =
-        eval_gate(gate.type, std::span<const std::uint64_t>(inputs, k));
-    const NetId out_net = gate.fanout;
-    const auto stem_it = cone.stems.find(out_net);
-    if (stem_it != cone.stems.end()) {
-      outv = faulty_value(stem_it->second, value_v1(out_net, w), outv);
-    }
-    if (outv != good_->v2(out_net, w)) {
-      set_value(out_net, outv);
-    } else if (stamp_[static_cast<std::size_t>(out_net)] == version_) {
-      // A launch-perturbed Q value may have seeded this net; the driver's
-      // re-evaluation settles it back to the good value.
-      set_value(out_net, outv);
-    }
-  }
-
+  // ---- Observation ---------------------------------------------------------
   const std::uint64_t mask = valid_mask(good_->num_patterns(), w);
-  bool any = false;
-  const auto emit = [&](std::uint64_t diff, bool at_po, std::int32_t index) {
-    diff &= mask;
-    if (diff == 0) return;
-    any = true;
-    if (out == nullptr) return;
-    while (diff != 0) {
-      const int b = std::countr_zero(diff);
-      diff &= diff - 1;
-      out->push_back(Observation{w * kWordBits + b, at_po, index});
-    }
-  };
-
-  for (std::int32_t fi : cone.flops) {
-    const GateId g = nl.flops()[static_cast<std::size_t>(fi)];
-    const NetId dnet = nl.gate(g).fanin[0];
-    std::uint64_t v = value(dnet, w);
-    if (!cone.branches.empty()) {
-      const auto it = cone.branches.find(nl.input_pin(g, 0));
-      if (it != cone.branches.end()) {
-        v = faulty_value(it->second, value_v1(dnet, w), v);
-      }
-    }
-    emit(v ^ good_->captured(fi, w), /*at_po=*/false, fi);
+  hits_.clear();
+  for (GateId t : terminals_) {
+    const NetId d = nl.gate(t).fanin[0];
+    const std::uint64_t v = read_input<false>(t, 0, d, value_v2(d, w), w);
+    const std::uint64_t diff = (v ^ good_->v2(d, w)) & mask;
+    if (diff == 0) continue;
+    if (out == nullptr) return true;
+    const std::int32_t fi = flop_index_[static_cast<std::size_t>(t)];
+    const std::uint64_t key =
+        fi >= 0 ? static_cast<std::uint64_t>(fi)
+                : (1ULL << 32) | static_cast<std::uint64_t>(
+                                     po_index_[static_cast<std::size_t>(t)]);
+    hits_.push_back(Hit{key, diff});
   }
-  for (std::int32_t pi : cone.pos) {
-    const GateId g = nl.primary_outputs()[static_cast<std::size_t>(pi)];
-    const NetId onet = nl.gate(g).fanin[0];
-    std::uint64_t v = value(onet, w);
-    if (!cone.branches.empty()) {
-      const auto it = cone.branches.find(nl.input_pin(g, 0));
-      if (it != cone.branches.end()) {
-        v = faulty_value(it->second, value_v1(onet, w), v);
-      }
+  if (hits_.empty()) return false;
+  // Emit in (pattern, po-flag, index) order: terminals sorted once, then
+  // pattern bits in ascending order across them.
+  std::sort(hits_.begin(), hits_.end(),
+            [](const Hit& a, const Hit& b) { return a.key < b.key; });
+  std::uint64_t bits = 0;
+  for (const Hit& h : hits_) bits |= h.diff;
+  while (bits != 0) {
+    const int b = std::countr_zero(bits);
+    bits &= bits - 1;
+    for (const Hit& h : hits_) {
+      if (((h.diff >> b) & 1ULL) == 0) continue;
+      out->push_back(Observation{w * kWordBits + b, (h.key >> 32) != 0,
+                                 static_cast<std::int32_t>(h.key)});
     }
-    emit(v ^ good_->po_value(pi, w), /*at_po=*/true, pi);
   }
-  return any;
+  return true;
 }
 
 std::vector<Observation> FaultSimulator::simulate(const Fault& fault) {
@@ -290,19 +278,24 @@ std::vector<Observation> FaultSimulator::simulate(const Fault& fault) {
 
 std::vector<Observation> FaultSimulator::simulate(
     std::span<const Fault> faults) {
-  const Cone cone = build_cone(faults);
   std::vector<Observation> out;
-  for (std::int32_t w = 0; w < good_->num_words(); ++w) {
-    simulate_word(cone, w, &out);
-  }
-  std::sort(out.begin(), out.end());
+  simulate(faults, &out);
   return out;
 }
 
-bool FaultSimulator::detects(const Fault& fault) {
-  const Cone cone = build_cone(std::span<const Fault>(&fault, 1));
+void FaultSimulator::simulate(std::span<const Fault> faults,
+                              std::vector<Observation>* out) {
+  out->clear();
+  load_faults(faults);
   for (std::int32_t w = 0; w < good_->num_words(); ++w) {
-    if (simulate_word(cone, w, nullptr)) return true;
+    run_word(w, out);
+  }
+}
+
+bool FaultSimulator::detects(const Fault& fault) {
+  load_faults(std::span<const Fault>(&fault, 1));
+  for (std::int32_t w = 0; w < good_->num_words(); ++w) {
+    if (run_word(w, nullptr)) return true;
   }
   return false;
 }

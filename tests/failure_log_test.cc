@@ -108,6 +108,60 @@ TEST(FailureLogTest, TruncationCountsChannelPatterns) {
   EXPECT_TRUE(cut.compacted);
 }
 
+TEST(FailureLogTest, TruncationUnderAtAndOverTheLimit) {
+  FailureLog log;
+  log.scan_fails = {{1, false, 0}, {4, false, 2}, {4, false, 3},
+                    {7, false, 1}};
+  log.po_fails = {{4, true, 0}, {9, true, 1}};  // patterns 1, 4, 7, 9
+  for (const std::int32_t limit : {5, 4}) {    // under, at
+    const FailureLog cut = truncate_failure_log(log, limit);
+    EXPECT_EQ(cut.pattern_limit, limit);
+    EXPECT_EQ(cut.scan_fails, log.scan_fails);
+    EXPECT_EQ(cut.po_fails, log.po_fails);
+  }
+  const FailureLog cut = truncate_failure_log(log, 3);  // over
+  EXPECT_EQ(cut.pattern_limit, 3);
+  EXPECT_EQ(cut.scan_fails, log.scan_fails);
+  EXPECT_EQ(cut.po_fails, (std::vector<Observation>{{4, true, 0}}));
+  EXPECT_EQ(cut.num_failing_patterns(), 3);
+
+  // The in-place form agrees and cuts the pattern list with the log.
+  std::vector<std::int32_t> patterns;
+  failing_patterns(log, &patterns);
+  EXPECT_EQ(patterns, (std::vector<std::int32_t>{1, 4, 7, 9}));
+  FailureLog in_place = log;
+  truncate_failure_log(&in_place, 3, &patterns);
+  EXPECT_EQ(patterns, (std::vector<std::int32_t>{1, 4, 7}));
+  EXPECT_EQ(in_place.scan_fails, cut.scan_fails);
+  EXPECT_EQ(in_place.po_fails, cut.po_fails);
+  EXPECT_EQ(in_place.pattern_limit, 3);
+}
+
+TEST(FailureLogTest, ReusedBufferMatchesAFreshLog) {
+  const Netlist nl = testing::small_netlist(2);
+  const ScanChains chains = make_chains(nl, 4);
+  const XorCompactor compactor(chains, 2);
+  const std::vector<Observation> a = {
+      {0, false, chains.flop_at(0, 1)}, {0, false, chains.flop_at(1, 1)},
+      {2, true, 1}, {5, false, chains.flop_at(2, 3)}};
+  const std::vector<Observation> b = {{1, false, chains.flop_at(3, 0)},
+                                      {1, true, 0}};
+  FailureLog buffer;
+  for (const XorCompactor* c : {&compactor, static_cast<const XorCompactor*>(
+                                                nullptr)}) {
+    for (const auto* raw : {&a, &b}) {
+      make_failure_log(*raw, chains, c, &buffer);
+      const FailureLog fresh = make_failure_log(*raw, chains, c);
+      EXPECT_EQ(buffer.compacted, fresh.compacted);
+      EXPECT_EQ(buffer.scan_fails, fresh.scan_fails);
+      EXPECT_EQ(buffer.channel_fails, fresh.channel_fails);
+      EXPECT_EQ(buffer.po_fails, fresh.po_fails);
+      EXPECT_EQ(buffer.pattern_limit, 0);
+      buffer.pattern_limit = 7;  // stale state the next fill must reset
+    }
+  }
+}
+
 TEST(FailureLogTest, EmptyLog) {
   FailureLog log;
   EXPECT_TRUE(log.empty());

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/framework.h"
 #include "m3d/partition.h"
 #include "sim/fault_sim.h"
 #include "test_helpers.h"
@@ -217,6 +218,39 @@ struct SimSetup {
   }
 };
 
+// A pin fault of one kind (0 STR, 1 STF, 3 SA0, 4 SA1) at `pin`.
+Fault pin_fault(PinId pin, int kind) {
+  switch (kind) {
+    case 0: return Fault::slow_to_rise(pin);
+    case 1: return Fault::slow_to_fall(pin);
+    case 3: return Fault::stuck_at(pin, false);
+    default: return Fault::stuck_at(pin, true);
+  }
+}
+constexpr int kPinKinds[] = {0, 1, 3, 4};
+
+// A random fault of one kind: a pin kind above, or 2 for an MIV fault.
+Fault random_fault(const Netlist& nl, const MivMap& mivs, Rng& rng,
+                   int kind) {
+  if (kind == 2) {
+    return Fault::miv_delay(static_cast<MivId>(
+        rng.next_below(static_cast<std::uint64_t>(mivs.num_mivs()))));
+  }
+  return pin_fault(static_cast<PinId>(rng.next_below(
+                       static_cast<std::uint64_t>(nl.num_pins()))),
+                   kind);
+}
+
+// simulate() with its ordering contract checked: strictly increasing by
+// (pattern, po-flag, index).
+std::vector<Observation> sorted_simulate(FaultSimulator& fsim,
+                                         std::span<const Fault> faults) {
+  std::vector<Observation> obs = fsim.simulate(faults);
+  EXPECT_TRUE(std::is_sorted(obs.begin(), obs.end()));
+  EXPECT_EQ(std::adjacent_find(obs.begin(), obs.end()), obs.end());
+  return obs;
+}
+
 class FaultSimVsReference : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FaultSimVsReference, RandomTdfFaultsMatch) {
@@ -308,8 +342,195 @@ TEST_P(FaultSimVsReference, MixedStaticAndDelayFaultsMatch) {
   }
 }
 
+TEST_P(FaultSimVsReference, DetectsMatchesForEveryFaultKind) {
+  SimSetup s(GetParam());
+  ASSERT_GT(s.mivs.num_mivs(), 0);
+  FaultSimulator fsim(s.nl, s.sim, &s.mivs);
+  ReferenceSim ref(s.nl, s.patterns, &s.mivs);
+  Rng rng(GetParam() ^ 0xDE7EC7);
+  for (int kind = 0; kind < 5; ++kind) {
+    for (int trial = 0; trial < 8; ++trial) {
+      const Fault f = random_fault(s.nl, s.mivs, rng, kind);
+      EXPECT_EQ(fsim.detects(f), !ref.simulate({&f, 1}).empty())
+          << fault_to_string(s.nl, f);
+    }
+  }
+  // Multi-fault (TDF only) and mixed (any kind) sets: the set itself, then
+  // each member's detects() verdict right after it, so overrides left over
+  // from the set would show.
+  for (int trial = 0; trial < 8; ++trial) {
+    const bool mixed = trial % 2 == 1;
+    std::vector<Fault> faults;
+    const int k = 2 + static_cast<int>(rng.next_below(4));
+    for (int i = 0; i < k; ++i) {
+      const int kind = static_cast<int>(rng.next_below(mixed ? 5 : 2));
+      faults.push_back(random_fault(s.nl, s.mivs, rng, kind));
+    }
+    const std::span<const Fault> set(faults.data(), faults.size());
+    EXPECT_EQ(sorted_simulate(fsim, set), ref.simulate(set));
+    for (const Fault& f : faults) {
+      EXPECT_EQ(fsim.detects(f), !ref.simulate({&f, 1}).empty())
+          << fault_to_string(s.nl, f);
+    }
+  }
+}
+
+TEST_P(FaultSimVsReference, DuplicateFaultsOnOneSiteMatch) {
+  SimSetup s(GetParam());
+  FaultSimulator fsim(s.nl, s.sim, &s.mivs);
+  ReferenceSim ref(s.nl, s.patterns, &s.mivs);
+  Rng rng(GetParam() ^ 0xD0B1E);
+  for (int trial = 0; trial < 12; ++trial) {
+    const PinId pin = static_cast<PinId>(
+        rng.next_below(static_cast<std::uint64_t>(s.nl.num_pins())));
+    const Fault f = pin_fault(pin, kPinKinds[trial % 4]);
+    const Fault twice[] = {f, f};
+    const auto obs = sorted_simulate(fsim, twice);
+    EXPECT_EQ(obs, ref.simulate(twice)) << fault_to_string(s.nl, f);
+    EXPECT_EQ(obs, fsim.simulate(f)) << fault_to_string(s.nl, f);
+    if (s.nl.pin_is_output(pin)) continue;
+    // Two kinds on one branch pin: the last one wins.
+    const Fault g = pin_fault(pin, kPinKinds[(trial + 1 + trial / 4) % 4]);
+    const Fault both[] = {f, g};
+    EXPECT_EQ(sorted_simulate(fsim, both), ref.simulate(both))
+        << fault_to_string(s.nl, f) << " then " << fault_to_string(s.nl, g);
+  }
+  ASSERT_GT(s.mivs.num_mivs(), 0);
+  const Fault miv = Fault::miv_delay(0);
+  const Fault miv_twice[] = {miv, miv};
+  EXPECT_EQ(sorted_simulate(fsim, miv_twice), ref.simulate(miv_twice));
+}
+
+TEST_P(FaultSimVsReference, StemAndBranchFaultsOnOneNetMatch) {
+  SimSetup s(GetParam());
+  FaultSimulator fsim(s.nl, s.sim, &s.mivs);
+  ReferenceSim ref(s.nl, s.patterns, &s.mivs);
+  Rng rng(GetParam() ^ 0x57E4);
+  for (int trial = 0; trial < 16; ++trial) {
+    const NetId net = static_cast<NetId>(
+        rng.next_below(static_cast<std::uint64_t>(s.nl.num_nets())));
+    const Net& n = s.nl.net(net);
+    if (n.sinks.empty()) continue;
+    const PinId stem = s.nl.output_pin(n.driver);
+    const PinId branch = s.nl.pin_id(
+        n.sinks[rng.next_below(static_cast<std::uint64_t>(n.sinks.size()))]);
+    const Fault a = pin_fault(stem, kPinKinds[rng.next_below(4)]);
+    const Fault b = pin_fault(branch, kPinKinds[rng.next_below(4)]);
+    const Fault stem_first[] = {a, b};
+    const Fault branch_first[] = {b, a};
+    EXPECT_EQ(sorted_simulate(fsim, stem_first), ref.simulate(stem_first))
+        << fault_to_string(s.nl, a) << " + " << fault_to_string(s.nl, b);
+    EXPECT_EQ(sorted_simulate(fsim, branch_first), ref.simulate(branch_first))
+        << fault_to_string(s.nl, b) << " + " << fault_to_string(s.nl, a);
+  }
+}
+
+TEST_P(FaultSimVsReference, FaultUpstreamOfAStemFaultMatches) {
+  // A fault on a gate's input and another on its output stem, every kind
+  // pairing: the upstream effect re-evaluates the stem's driver, and the
+  // stem override must act on that faulty output (and on the faulty launch
+  // value when the upstream fault is static).
+  SimSetup s(GetParam());
+  FaultSimulator fsim(s.nl, s.sim, &s.mivs);
+  ReferenceSim ref(s.nl, s.patterns, &s.mivs);
+  Rng rng(GetParam() ^ 0x5E7713);
+  const auto& topo = s.nl.topo_order();
+  for (int trial = 0; trial < 4; ++trial) {
+    const GateId g = topo[rng.next_below(topo.size())];
+    const PinId in = s.nl.input_pin(
+        g, static_cast<std::int32_t>(
+               rng.next_below(s.nl.gate(g).fanin.size())));
+    for (const int upstream : kPinKinds) {
+      for (const int stem : kPinKinds) {
+        const Fault faults[] = {pin_fault(in, upstream),
+                                pin_fault(s.nl.output_pin(g), stem)};
+        EXPECT_EQ(sorted_simulate(fsim, faults), ref.simulate(faults))
+            << fault_to_string(s.nl, faults[0]) << " + "
+            << fault_to_string(s.nl, faults[1]);
+      }
+    }
+  }
+}
+
+TEST_P(FaultSimVsReference, FlopAndPoPinFaultsMatch) {
+  SimSetup s(GetParam());
+  FaultSimulator fsim(s.nl, s.sim, &s.mivs);
+  ReferenceSim ref(s.nl, s.patterns, &s.mivs);
+  std::vector<PinId> pins;
+  for (std::size_t i = 0; i < s.nl.flops().size(); i += 5) {
+    const GateId ff = s.nl.flops()[i];
+    pins.push_back(s.nl.input_pin(ff, 0));  // D pin
+    pins.push_back(s.nl.output_pin(ff));    // Q stem
+  }
+  for (std::size_t i = 0; i < s.nl.primary_outputs().size(); i += 3) {
+    pins.push_back(s.nl.input_pin(s.nl.primary_outputs()[i], 0));
+  }
+  for (const PinId pin : pins) {
+    for (const int kind : kPinKinds) {
+      const Fault f = pin_fault(pin, kind);
+      const auto expected = ref.simulate({&f, 1});
+      EXPECT_EQ(sorted_simulate(fsim, {&f, 1}), expected)
+          << fault_to_string(s.nl, f);
+      EXPECT_EQ(fsim.detects(f), !expected.empty())
+          << fault_to_string(s.nl, f);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FaultSimVsReference,
                          ::testing::Values(1, 7, 23, 41, 77));
+
+// The stock aes Syn-2 design (partitioned tiers, real MIVs, ATPG patterns)
+// against the same oracle, every fault kind.
+TEST(FaultSimVsReferenceStock, AesSyn2WithMivsMatches) {
+  const std::unique_ptr<Design> design =
+      Design::build(Profile::kAes, DesignConfig::kSyn2);
+  const Netlist& nl = design->netlist();
+  ASSERT_GT(design->mivs().num_mivs(), 0);
+  FaultSimulator fsim(nl, design->good_sim(), &design->mivs());
+  ReferenceSim ref(nl, design->patterns(), &design->mivs());
+  Rng rng(0xAE5);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<Fault> faults;
+    if (trial < 15) {
+      faults.push_back(random_fault(nl, design->mivs(), rng, trial % 5));
+    } else {
+      for (int i = 0; i < 3; ++i) {
+        faults.push_back(random_fault(nl, design->mivs(), rng,
+                                      static_cast<int>(rng.next_below(5))));
+      }
+    }
+    const std::span<const Fault> set(faults.data(), faults.size());
+    const auto expected = ref.simulate(set);
+    EXPECT_EQ(sorted_simulate(fsim, set), expected)
+        << fault_to_string(nl, faults[0]);
+    if (faults.size() == 1) {
+      EXPECT_EQ(fsim.detects(faults[0]), !expected.empty())
+          << fault_to_string(nl, faults[0]);
+    }
+  }
+}
+
+TEST(FaultSimTest, DuplicateSiteFaultsFollowFirstStemLastBranch) {
+  // Two kinds on one site in one call: the first stem fault on a net wins,
+  // the last branch fault on a pin wins.
+  SimSetup s(19);
+  FaultSimulator fsim(s.nl, s.sim, &s.mivs);
+  std::int32_t checked = 0;
+  for (GateId g : s.nl.topo_order()) {
+    if (checked >= 10) break;
+    const PinId stem = s.nl.output_pin(g);
+    const PinId branch = s.nl.input_pin(g, 0);
+    const Fault stems[] = {Fault::slow_to_rise(stem),
+                           Fault::stuck_at(stem, true)};
+    EXPECT_EQ(fsim.simulate(stems), fsim.simulate(stems[0]));
+    const Fault branches[] = {Fault::stuck_at(branch, false),
+                              Fault::slow_to_fall(branch)};
+    EXPECT_EQ(fsim.simulate(branches), fsim.simulate(branches[1]));
+    ++checked;
+  }
+  EXPECT_EQ(checked, 10);
+}
 
 TEST(FaultSimTest, StuckAtCorruptsLaunchState) {
   // pi -> ff_a (D) ; ff_a.Q -> INV -> ff_b (D).  A SA1 on pi's net corrupts

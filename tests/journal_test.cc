@@ -17,6 +17,8 @@
 #include "serve/fault_injector.h"
 #include "serve/journal.h"
 #include "serve/metrics.h"
+#include "serve/service.h"
+#include "serve/session.h"
 #include "util/checksum.h"
 
 namespace m3dfl::serve {
@@ -123,6 +125,32 @@ TEST(JournalTest, ReopenContinuesTheHighestSegment) {
   EXPECT_EQ(replay.records, 3u);
   EXPECT_EQ(replay.closed_sessions, 1u);
   EXPECT_TRUE(replay.diagnostics.empty());
+}
+
+// recover() leaves out the segment its own manager just created: a fresh
+// directory holds no earlier run, so nothing is reported.  A segment left
+// by an earlier run still counts, even when the new manager continues it.
+TEST(JournalTest, RecoveryOnAFreshDirectoryReportsNoSegments) {
+  const std::string dir = scratch_dir("fresh_recovery");
+  ServiceOptions options;
+  options.num_threads = 1;
+  options.degraded_fallback = true;  // no model: ATPG-only service
+  std::istringstream no_model;
+  DiagnosisService service(no_model, options);
+  SessionManagerOptions mgr;
+  mgr.journal_dir = dir;
+  {
+    SessionManager manager(service, mgr);
+    ASSERT_NE(manager.journal(), nullptr);
+    const RecoveryStats stats = manager.recover();
+    EXPECT_EQ(stats.segments, 0u);
+    EXPECT_EQ(stats.records_scanned, 0u);
+    EXPECT_TRUE(stats.diagnostics.empty());
+  }
+  EXPECT_EQ(SessionJournal::list_segments(dir).size(), 1u);
+  SessionManager restarted(service, mgr);
+  EXPECT_TRUE(restarted.journal()->created_segment().empty());
+  EXPECT_EQ(restarted.recover().segments, 1u);
 }
 
 TEST(JournalTest, RotatesSegmentsBySize) {

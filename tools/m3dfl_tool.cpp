@@ -651,7 +651,7 @@ int cmd_serve(const std::string& profile, const std::string& model_path,
               const std::string& threads_str, const Flags& flags) {
   serve::ServiceOptions options;
   if (!parse_number(threads_str, options.num_threads)) {
-    throw Error("m3dfl: invalid thread count '" + threads_str + "'");
+    throw Error("invalid thread count '" + threads_str + "'");
   }
   options.default_deadline_ms = flags.deadline_ms;
   options.max_retries = flags.max_retries;
@@ -1174,6 +1174,17 @@ std::vector<Command> command_table(Flags& v) {
   };
 }
 
+// A library error's message without the library's own "m3dfl: " prefix, for
+// wrapping in the tool's messages.
+std::string_view error_text(const std::exception& e) {
+  std::string_view text = e.what();
+  constexpr std::string_view kLibraryPrefix = "m3dfl: ";
+  if (text.starts_with(kLibraryPrefix)) {
+    text.remove_prefix(kLibraryPrefix.size());
+  }
+  return text;
+}
+
 // Parses `--flag[=value]` arguments into the command's flag targets.
 void parse_flags(const Command& cmd, const std::vector<std::string>& flags) {
   for (const std::string& flag : flags) {
@@ -1192,7 +1203,7 @@ void parse_flags(const Command& cmd, const std::vector<std::string>& flags) {
     try {
       ok = std::visit(assign, spec->target);
     } catch (const Error& e) {
-      reason = std::string(": ") + e.what();
+      reason = ": " + std::string(error_text(e));
     }
     if (!ok) {
       throw Error("bad value in " + std::string(cmd.name) + " flag '" + flag +
@@ -1256,7 +1267,7 @@ int main(int argc, char** argv) {
     parse_flags(*cmd, flags);
     return cmd->run(args, values);
   } catch (const std::exception& e) {
-    std::cerr << "m3dfl_tool: " << e.what() << "\n";
+    std::cerr << "m3dfl_tool: " << error_text(e) << "\n";
     return 1;
   }
 }
